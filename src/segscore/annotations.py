@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import ProviderProtocol, ProviderUnavailable
+from .scoring import read_weight_table
 from .terms import WeightedTermSet, match_score, tokenize
 
 __all__ = [
@@ -80,29 +81,45 @@ class CategoryWeights:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CategoryWeights":
-        data = json.loads(Path(path).read_text("utf-8"))
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}: category weights file must be a flat JSON object")
-        return cls(weights={str(k): float(v) for k, v in data.items()})
+        return cls(weights=read_weight_table(path, "category weights"))
 
 
 # ── gazetteer ───────────────────────────────────────────────────────
 
 
 class Gazetteer:
-    """Category -> phrase list; lookup is case-insensitive on token boundaries."""
+    """Category -> phrase list; lookup is case-insensitive on token boundaries.
+
+    Entries sort by category, then file order.  Lookup walks the text's
+    tokens once and tests only the phrases that start with each token, so
+    its cost grows with the text, not with the number of phrases.
+    """
 
     def __init__(self, phrases: Mapping[str, Sequence[str]]):
         entries: list[tuple[str, str, list[str]]] = []
         for category in sorted(phrases):
-            for phrase in phrases[category]:
-                phrase_tokens = tokenize(phrase)
+            if not isinstance(category, str) or not category:
+                raise ValueError(f"gazetteer category {category!r} must be a non-empty name")
+            listed = phrases[category]
+            if not isinstance(listed, (list, tuple)):
+                raise ValueError(f"gazetteer category {category!r} must map to a list "
+                                 f"of strings, not {type(listed).__name__}")
+            for phrase in listed:
+                try:
+                    phrase_tokens = tokenize(phrase)
+                except (AttributeError, TypeError):  # tokenize takes only str
+                    raise ValueError(f"gazetteer phrase {phrase!r} in category "
+                                     f"{category!r} is not a string") from None
                 if not phrase_tokens:
                     raise ValueError(f"gazetteer phrase {phrase!r} has no tokens")
                 entries.append((category, phrase, phrase_tokens))
         if not entries:
             raise ValueError("gazetteer has no phrases")
         self._entries = entries
+        # First token -> (entry index, phrase tokens), built by the first
+        # lookup: an eager build would charge every gazetteer at load time.
+        # Concurrent first lookups may each build it; the builds are equal.
+        self._by_first_token: dict[str, list[tuple[int, list[str]]]] | None = None
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Gazetteer":
@@ -117,15 +134,25 @@ class Gazetteer:
     def entries(self) -> list[tuple[str, str, list[str]]]:
         return list(self._entries)
 
+    def lookup(self, tokens: Sequence[str]) -> list[tuple[str, str, list[str]]]:
+        """Entries whose phrase occurs contiguously in ``tokens``, in entry order.
 
-def _has_subsequence(tokens: list[str], phrase: list[str]) -> bool:
-    n = len(phrase)
-    if n == 0 or n > len(tokens):
-        return False
-    for i in range(len(tokens) - n + 1):
-        if tokens[i:i + n] == phrase:
-            return True
-    return False
+        Every matching entry is returned once, however often its phrase
+        occurs; a phrase listed twice is two entries.
+        """
+        index = self._by_first_token
+        if index is None:
+            index = {}
+            for position, (_, _, phrase_tokens) in enumerate(self._entries):
+                index.setdefault(phrase_tokens[0], []).append((position, phrase_tokens))
+            self._by_first_token = index
+        tokens = list(tokens)  # slices must be lists to equal the phrase tokens
+        hits: set[int] = set()
+        for start, token in enumerate(tokens):
+            for position, phrase_tokens in index.get(token, ()):
+                if tokens[start:start + len(phrase_tokens)] == phrase_tokens:
+                    hits.add(position)
+        return [self._entries[position] for position in sorted(hits)]
 
 
 class GazetteerProvider:
@@ -141,12 +168,8 @@ class GazetteerProvider:
         self._gazetteer = gazetteer
 
     def annotate(self, text: str) -> list[Entity]:
-        tokens = tokenize(text)
-        found: list[Entity] = []
-        for category, phrase, phrase_tokens in self._gazetteer.entries():
-            if _has_subsequence(tokens, phrase_tokens):
-                found.append(Entity(category=category, name=phrase, relevance=1.0))
-        return found
+        return [Entity(category=category, name=phrase, relevance=1.0)
+                for category, phrase, _ in self._gazetteer.lookup(tokenize(text))]
 
 
 # ── wire payload shared by replay and remote ────────────────────────

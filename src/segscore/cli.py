@@ -103,7 +103,10 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:  # a score overflowed to inf
+        raise CliError(f"cannot write JSON output: {exc}") from exc
 
 
 def _vmwt_from(args: argparse.Namespace) -> Vmwt:

@@ -9,6 +9,7 @@ structural score is the coefficient-weighted sum of all six.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,6 +43,22 @@ DEFAULT_VMWT: dict[str, float] = {
 DIMENSIONS = ("link", "image", "theme", "visual", "freshness", "profile")
 
 
+# Reads integers as floats, so one too large for a float becomes inf.
+_FLOAT_JSON = json.JSONDecoder(parse_int=float)
+
+
+def read_weight_table(path: str | Path, what: str) -> dict[str, float]:
+    """Read a flat JSON object whose values are all finite numbers."""
+    data = _FLOAT_JSON.decode(Path(path).read_text("utf-8"))
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: {what} file must be a flat JSON object")
+    for key, value in data.items():
+        if not isinstance(value, float) or not math.isfinite(value):
+            raise ValueError(f"{path}: {what} value for {key!r} must be a finite number, "
+                             f"got {value!r}")
+    return data
+
+
 @dataclass(frozen=True)
 class Vmwt:
     """Visual markup weight table: emphasis tag -> weight, 0.0 when absent."""
@@ -58,10 +75,7 @@ class Vmwt:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Vmwt":
-        data = json.loads(Path(path).read_text("utf-8"))
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}: vmwt file must be a flat JSON object")
-        return cls(tag_weights={str(k): float(v) for k, v in data.items()})
+        return cls(tag_weights=read_weight_table(path, "vmwt"))
 
 
 @dataclass(frozen=True)
@@ -99,13 +113,11 @@ class DimensionCoefficients:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "DimensionCoefficients":
-        data = json.loads(Path(path).read_text("utf-8"))
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}: coefficients file must be a flat JSON object")
+        data = read_weight_table(path, "coefficients")
         unknown = set(data) - set(DIMENSIONS)
         if unknown:
             raise ValueError(f"{path}: unknown coefficient names {sorted(unknown)}")
-        return cls(**{k: float(v) for k, v in data.items()})
+        return cls(**data)
 
 
 # ── dimension scorers ───────────────────────────────────────────────

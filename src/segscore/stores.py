@@ -143,13 +143,17 @@ class SnapshotRecord:
 
 
 class SnapshotStore:
-    """Directory-per-URL snapshot storage with atomic writes."""
+    """Directory-per-URL snapshot storage with atomic writes.
+
+    Paths are plain strings: every visit lists and reads the URL's
+    directory, and pathlib would parse (and intern) each file name.
+    """
 
     def __init__(self, root: str | Path):
-        self._root = Path(root)
+        self._root = os.fspath(root)
 
-    def _dir_for(self, url: str) -> Path:
-        return self._root / sha256(url.encode("utf-8")).hexdigest()[:16]
+    def _dir_for(self, url: str) -> str:
+        return os.path.join(self._root, sha256(url.encode("utf-8")).hexdigest()[:16])
 
     def put_snapshot(self, record: SnapshotRecord) -> Path:
         """Persist one capture; timestamps must strictly increase per URL."""
@@ -169,9 +173,10 @@ class SnapshotStore:
             ],
         }
         directory = self._dir_for(record.url)
-        final = directory / (record.captured_at.strftime("%Y%m%dT%H%M%S_%f") + ".json")
+        final = os.path.join(directory,
+                             record.captured_at.strftime("%Y%m%dT%H%M%S_%f") + ".json")
         try:
-            directory.mkdir(parents=True, exist_ok=True)
+            os.makedirs(directory, exist_ok=True)
             fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as handle:
@@ -185,20 +190,24 @@ class SnapshotStore:
                 raise
         except OSError as exc:
             raise StorageFailure(f"cannot write snapshot for {record.url}: {exc}") from exc
-        return final
+        return Path(final)
 
     def latest_snapshot(self, url: str) -> SnapshotRecord | None:
         """Most recent capture of the URL, or None on first visit."""
         directory = self._dir_for(url)
         try:
-            names = sorted(p.name for p in directory.glob("*.json"))
+            names = [name for name in os.listdir(directory)
+                     if name.endswith(".json") and not name.startswith(".")]
+        except FileNotFoundError:
+            return None
         except OSError as exc:
             raise StorageFailure(f"cannot list snapshots for {url}: {exc}") from exc
         if not names:
             return None
-        latest_path = directory / names[-1]  # filenames sort by capture time
+        latest_path = os.path.join(directory, max(names))  # names sort by capture time
         try:
-            data = json.loads(latest_path.read_text("utf-8"))
+            with open(latest_path, encoding="utf-8") as handle:
+                data = json.load(handle)
             return SnapshotRecord(
                 url=data["url"],
                 captured_at=datetime.fromisoformat(data["captured_at"]),

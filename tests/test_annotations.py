@@ -8,6 +8,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from segscore import (
     AnnotationSet,
@@ -22,6 +24,7 @@ from segscore import (
     annotate,
     annotation_score,
     text_key,
+    tokenize,
 )
 
 from conftest import DATA_DIR, FUSED_TERMS, GAZETTEER_PHRASES
@@ -64,6 +67,91 @@ class TestGazetteer:
     def test_empty_gazetteer_rejected(self):
         with pytest.raises(ValueError):
             Gazetteer({})
+
+    @pytest.mark.parametrize("phrases", [
+        {"Topic": [3]},
+        {"Topic": [["web"]]},
+        {"Topic": [None]},
+        {"Topic": "web"},
+        {"Topic": {"web": 1}},
+        {"": ["web"]},
+    ])
+    def test_malformed_input_rejected(self, phrases):
+        with pytest.raises(ValueError):
+            Gazetteer(phrases)
+
+    def test_malformed_file_rejected(self, tmp_path):
+        path = tmp_path / "gazetteer.json"
+        path.write_text('{"Topic": "web"}', "utf-8")
+        with pytest.raises(ValueError, match="list of strings"):
+            Gazetteer.from_file(path)
+
+
+def _has_subsequence(tokens: list[str], phrase: list[str]) -> bool:
+    n = len(phrase)
+    if n == 0 or n > len(tokens):
+        return False
+    for i in range(len(tokens) - n + 1):
+        if tokens[i:i + n] == phrase:
+            return True
+    return False
+
+
+def brute_force_annotate(gazetteer: Gazetteer, text: str) -> list[Entity]:
+    """Reference lookup: scan every entry's phrase over the whole text."""
+    tokens = tokenize(text)
+    return [Entity(category=category, name=phrase)
+            for category, phrase, phrase_tokens in gazetteer.entries()
+            if _has_subsequence(tokens, phrase_tokens)]
+
+
+# Four words (one in two spellings) make first tokens collide and phrases
+# overlap; "alphabeta" must not match "alpha" or "beta".
+_word = st.sampled_from(["alpha", "Beta", "beta", "gamma", "DELTA"])
+_phrase = st.lists(_word, min_size=1, max_size=4).map(" ".join)
+_gazetteers = st.dictionaries(
+    st.sampled_from(["Org", "Place", "Topic"]),
+    st.lists(_phrase, min_size=1, max_size=8),
+    min_size=1,
+)
+_texts = st.lists(st.one_of(_word, st.sampled_from(["x", "-", ", ", "alphabeta"])),
+                  max_size=30).map(" ".join)
+
+
+class TestGazetteerLookup:
+    @given(_gazetteers, _texts)
+    def test_index_agrees_with_brute_force_scan(self, phrases, text):
+        gazetteer = Gazetteer(phrases)
+        assert GazetteerProvider(gazetteer).annotate(text) == \
+            brute_force_annotate(gazetteer, text)
+
+    @pytest.mark.parametrize("phrases, text, names", [
+        # duplicates within and across categories each emit once per entry
+        ({"Topic": ["web", "web"]}, "web", [("Topic", "web"), ("Topic", "web")]),
+        ({"Org": ["web"], "Topic": ["web"]}, "the web", [("Org", "web"), ("Topic", "web")]),
+        # repeated occurrences of one phrase still emit once
+        ({"Topic": ["a b"]}, "a b a b x a b", [("Topic", "a b")]),
+        # overlapping phrases both match
+        ({"Topic": ["b c", "a b"]}, "a b c", [("Topic", "b c"), ("Topic", "a b")]),
+        # a phrase longer than the text cannot match
+        ({"Topic": ["a b c d"]}, "a b c", []),
+        # matching is case-insensitive on both sides
+        ({"Place": ["New YORK"]}, "new york", [("Place", "New YORK")]),
+        ({"Place": ["new york"]}, "NEW York", [("Place", "new york")]),
+        # a phrase ending at the last token
+        ({"Topic": ["y z"]}, "x y z", [("Topic", "y z")]),
+    ])
+    def test_fixed_cases(self, phrases, text, names):
+        gazetteer = Gazetteer(phrases)
+        found = GazetteerProvider(gazetteer).annotate(text)
+        assert [(e.category, e.name) for e in found] == names
+        assert found == brute_force_annotate(gazetteer, text)
+
+    def test_lookup_returns_entries_in_gazetteer_order(self, gazetteer):
+        tokens = tokenize("web search, then acme labs and semantic ranking")
+        assert gazetteer.lookup(tokens) == gazetteer.entries()
+        assert gazetteer.lookup(tuple(tokens)) == gazetteer.entries()
+        assert gazetteer.lookup([]) == []
 
 
 class TestGazetteerProvider:
@@ -271,6 +359,16 @@ class TestCategoryWeights:
         assert weights.weight("Topic") == 2.0
         assert weights.weight("Organization") == 0.25
         assert weights.weight("Unseen") == 1.0
+
+    @pytest.mark.parametrize("body", [
+        '{"Topic": NaN}', '{"Topic": Infinity}', '{"Topic": 1e999}',
+        '{"Topic": "2"}', '{"Topic": [1]}', '{"Topic": true}', '{"Topic": null}',
+    ])
+    def test_from_file_rejects_non_finite_and_non_numeric(self, tmp_path, body):
+        path = tmp_path / "weights.json"
+        path.write_text(body, "utf-8")
+        with pytest.raises(ValueError, match="finite number"):
+            CategoryWeights.from_file(path)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):

@@ -197,6 +197,28 @@ class TestScoreCommand:
         assert code == EXIT_FAILURE
         assert "cannot load coefficients" in err
 
+    @pytest.mark.parametrize("flag, body, what", [
+        ("--vmwt", '{"h1": [1]}', "visual markup weights"),
+        ("--vmwt", '{"h1": "2"}', "visual markup weights"),
+        ("--coeffs", '{"link": NaN}', "coefficients"),
+        ("--coeffs", '{"link": -Infinity}', "coefficients"),
+    ])
+    def test_non_numeric_or_non_finite_config_fails(self, capsys, tmp_path,
+                                                    flag, body, what):
+        bad = tmp_path / "config.json"
+        bad.write_text(body, "utf-8")
+        code, out, err = run(capsys, "score", T1, "--query", "web", flag, str(bad))
+        assert code == EXIT_FAILURE and out == ""
+        assert f"cannot load {what}" in err and "finite number" in err
+        assert err.count("\n") == 1
+
+    def test_overflowing_score_fails_instead_of_writing_infinity(self, capsys, tmp_path):
+        coeffs = tmp_path / "coeffs.json"
+        coeffs.write_text('{"link": 1e308}', "utf-8")
+        code, out, err = run(capsys, "score", T1, "--query", "web", "--coeffs", str(coeffs))
+        assert code == EXIT_FAILURE and out == ""
+        assert "cannot write JSON output" in err
+
 
 class TestAnnotateCommand:
     def test_gazetteer_annotations_per_segment(self, capsys):
@@ -211,6 +233,16 @@ class TestAnnotateCommand:
         assert second["entities"] == [
             {"category": "Topic", "name": "semantic ranking", "relevance": 1.0},
         ]
+
+    @pytest.mark.parametrize("body", ['{"Topic": [3]}', '{"Topic": [["web"]]}',
+                                      '{"Topic": "web"}'])
+    def test_malformed_gazetteer_fails(self, capsys, tmp_path, body):
+        bad = tmp_path / "gazetteer.json"
+        bad.write_text(body, "utf-8")
+        code, out, err = run(capsys, "annotate", T4, "--gazetteer", str(bad))
+        assert code == EXIT_FAILURE and out == ""
+        assert "cannot load gazetteer" in err
+        assert err.count("\n") == 1
 
     def test_none_provider_is_rejected(self, capsys):
         code, out, err = run(capsys, "annotate", T4, "--provider", "none")

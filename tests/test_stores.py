@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
@@ -152,6 +153,37 @@ class TestSnapshotStore:
         store = SnapshotStore(tmp_path)
         store.put_snapshot(record("http://a/", T0, [["web"]]))
         assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_put_returns_the_written_path(self, tmp_path):
+        store = SnapshotStore(str(tmp_path))
+        snap = record("http://a/", T0, [["web"]])
+        written = store.put_snapshot(snap)
+        assert isinstance(written, Path)
+        assert written.parent.parent == tmp_path
+        assert written.name == "20260101T120000_000000.json"
+        assert json.loads(written.read_text("utf-8"))["url"] == "http://a/"
+
+    def test_only_visible_json_files_are_snapshots(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        snap = record("http://a/", T0, [["web"]])
+        written = store.put_snapshot(snap)
+        directory = written.parent
+        (directory / "99999999T999999_999999.tmp").write_text("{ partial", "utf-8")
+        (directory / ".99999999T999999_999999.json").write_text("{ hidden", "utf-8")
+        (directory / "notes.txt").write_text("not a snapshot", "utf-8")
+        assert store.latest_snapshot("http://a/") == snap
+        written.unlink()
+        assert store.latest_snapshot("http://a/") is None
+
+    def test_unlistable_directory_is_a_storage_failure(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        directory = store.put_snapshot(record("http://a/", T0, [["web"]])).parent
+        for child in directory.iterdir():
+            child.unlink()
+        directory.rmdir()
+        directory.write_text("a file where the URL's directory belongs", "utf-8")
+        with pytest.raises(StorageFailure, match="cannot list"):
+            store.latest_snapshot("http://a/")
 
     def test_corrupt_latest_snapshot_is_reported(self, tmp_path):
         store = SnapshotStore(tmp_path)
