@@ -82,13 +82,24 @@ class SegmentationConfig:
         if not isinstance(data, dict):
             raise ValueError(f"{path}: segmentation config must be a JSON object")
         kwargs: dict = {}
-        if "block_tags" in data:
-            kwargs["block_tags"] = frozenset(data["block_tags"])
-        if "visual_tags" in data:
-            kwargs["visual_tags"] = frozenset(data["visual_tags"])
-        for key in ("min_tokens", "max_tokens", "density_floor"):
+        for key in ("block_tags", "visual_tags"):
             if key in data:
-                kwargs[key] = data[key]
+                tags = data[key]
+                if not isinstance(tags, list) or not all(isinstance(tag, str) for tag in tags):
+                    raise ValueError(f"{path}: {key} must be a list of strings, got {tags!r}")
+                kwargs[key] = frozenset(tags)
+        for key in ("min_tokens", "max_tokens"):
+            if key in data:
+                value = data[key]
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise ValueError(f"{path}: {key} must be an integer, got {value!r}")
+                kwargs[key] = value
+        if "density_floor" in data:
+            value = data["density_floor"]
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise ValueError(f"{path}: density_floor must be a finite number, got {value!r}")
+            kwargs["density_floor"] = value
         return cls(**kwargs)
 
 

@@ -11,9 +11,11 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import datetime, timezone
 from hashlib import sha256
+from itertools import chain
 from pathlib import Path
 
 from .errors import MalformedProfile, MissingFile, StorageFailure
@@ -155,13 +157,27 @@ class SnapshotStore:
     def _dir_for(self, url: str) -> str:
         return os.path.join(self._root, sha256(url.encode("utf-8")).hexdigest()[:16])
 
+    def _latest_name(self, directory: str, url: str) -> str | None:
+        """Newest visible snapshot file name in the directory, or None."""
+        try:
+            names = [name for name in os.listdir(directory)
+                     if name.endswith(".json") and not name.startswith(".")]
+        except FileNotFoundError:
+            return None
+        except OSError as exc:
+            raise StorageFailure(f"cannot list snapshots for {url}: {exc}") from exc
+        return max(names) if names else None  # names sort by UTC capture time
+
     def put_snapshot(self, record: SnapshotRecord) -> Path:
         """Persist one capture; timestamps must strictly increase per URL."""
-        latest = self.latest_snapshot(record.url)
-        if latest is not None and record.captured_at <= latest.captured_at:
+        directory = self._dir_for(record.url)
+        name = record.captured_at.astimezone(timezone.utc).strftime("%Y%m%dT%H%M%S_%f") + ".json"
+        latest = self._latest_name(directory, record.url)
+        if latest is not None and name <= latest:
+            prior = _read_record(os.path.join(directory, latest))
             raise StorageFailure(
                 f"snapshot timestamps must increase: {record.captured_at.isoformat()} "
-                f"is not after {latest.captured_at.isoformat()}"
+                f"is not after {prior.captured_at.isoformat()}"
             )
         payload = {
             "v": 1,
@@ -172,15 +188,13 @@ class SnapshotStore:
                 for seg in record.segments
             ],
         }
-        directory = self._dir_for(record.url)
-        final = os.path.join(directory,
-                             record.captured_at.strftime("%Y%m%dT%H%M%S_%f") + ".json")
+        final = os.path.join(directory, name)
         try:
             os.makedirs(directory, exist_ok=True)
             fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(payload, handle, indent=2, sort_keys=True)
+                    handle.write(json.dumps(payload, indent=2, sort_keys=True))
                 os.replace(tmp_name, final)  # atomic on POSIX
             except BaseException:
                 try:
@@ -195,29 +209,24 @@ class SnapshotStore:
     def latest_snapshot(self, url: str) -> SnapshotRecord | None:
         """Most recent capture of the URL, or None on first visit."""
         directory = self._dir_for(url)
-        try:
-            names = [name for name in os.listdir(directory)
-                     if name.endswith(".json") and not name.startswith(".")]
-        except FileNotFoundError:
-            return None
-        except OSError as exc:
-            raise StorageFailure(f"cannot list snapshots for {url}: {exc}") from exc
-        if not names:
-            return None
-        latest_path = os.path.join(directory, max(names))  # names sort by capture time
-        try:
-            with open(latest_path, encoding="utf-8") as handle:
-                data = json.load(handle)
-            return SnapshotRecord(
-                url=data["url"],
-                captured_at=datetime.fromisoformat(data["captured_at"]),
-                segments=tuple(
-                    SnapshotSegment(int(seg["fingerprint"]), tuple(seg["tokens"]))
-                    for seg in data["segments"]
-                ),
-            )
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise StorageFailure(f"corrupt snapshot {latest_path}: {exc}") from exc
+        latest = self._latest_name(directory, url)
+        return None if latest is None else _read_record(os.path.join(directory, latest))
+
+
+def _read_record(path: str) -> SnapshotRecord:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
+        return SnapshotRecord(
+            url=data["url"],
+            captured_at=datetime.fromisoformat(data["captured_at"]),
+            segments=tuple(
+                SnapshotSegment(int(seg["fingerprint"]), tuple(seg["tokens"]))
+                for seg in data["segments"]
+            ),
+        )
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise StorageFailure(f"corrupt snapshot {path}: {exc}") from exc
 
 
 def token_jaccard(a: set[str], b: set[str]) -> float:
@@ -227,6 +236,26 @@ def token_jaccard(a: set[str], b: set[str]) -> float:
     return len(a & b) / len(a | b)
 
 
+class _MatchIndex:
+    """Lookup tables over a snapshot's segments, built once per record."""
+
+    __slots__ = ("by_fingerprint", "by_token", "sizes", "empty")
+
+    def __init__(self, segments: tuple[SnapshotSegment, ...]):
+        self.by_fingerprint: dict[int, list[int]] = {}
+        self.by_token: dict[str, list[int]] = {}
+        self.sizes: list[int] = []
+        self.empty: list[int] = []
+        for index, prior in enumerate(segments):
+            self.by_fingerprint.setdefault(prior.fingerprint, []).append(index)
+            distinct = set(prior.tokens)
+            for token in distinct:
+                self.by_token.setdefault(token, []).append(index)
+            self.sizes.append(len(distinct))
+            if not distinct:
+                self.empty.append(index)
+
+
 def match_prior_segment(segment: Segment, snap: SnapshotRecord) -> SnapshotSegment | None:
     """Find the snapshot segment this segment descends from, if any.
 
@@ -234,20 +263,28 @@ def match_prior_segment(segment: Segment, snap: SnapshotRecord) -> SnapshotSegme
     prior segment with token Jaccard >= 0.5; None when nothing clears
     the threshold (the segment is new to the page).  Ties go to the
     earlier prior segment, keeping the choice deterministic.
-    """
-    best: tuple[tuple[int, int], SnapshotSegment] | None = None
-    for index, prior in enumerate(snap.segments):
-        if prior.fingerprint == segment.fingerprint:
-            key = (abs(index - segment.id), index)
-            if best is None or key < best[0]:
-                best = (key, prior)
-    if best is not None:
-        return best[1]
 
-    current = set(segment.tokens)
-    for index, prior in enumerate(snap.segments):
-        if token_jaccard(current, set(prior.tokens)) >= 0.5:
-            key = (abs(index - segment.id), index)
-            if best is None or key < best[0]:
-                best = (key, prior)
-    return best[1] if best else None
+    The first call on a record builds a fingerprint table and an
+    inverted token index and keeps them on the record, outside its
+    fields, so later calls cost per shared token instead of per prior
+    segment.  Threads racing on that first call build equal indexes.
+    """
+    index = getattr(snap, "_match_index", None)
+    if index is None:
+        index = _MatchIndex(snap.segments)
+        object.__setattr__(snap, "_match_index", index)
+
+    candidates = index.by_fingerprint.get(segment.fingerprint)
+    if candidates is None:
+        current = set(segment.tokens)
+        if current:
+            n, sizes, by_token = len(current), index.sizes, index.by_token
+            overlaps = Counter(chain.from_iterable([by_token.get(t, ()) for t in current]))
+            # |a & b| / |a | b| with token_jaccard's integers, so the float is the same
+            candidates = [i for i, k in overlaps.items() if k / (n + sizes[i] - k) >= 0.5]
+        else:
+            candidates = index.empty  # two empty sets count as equal
+    if not candidates:
+        return None
+    target = segment.id
+    return snap.segments[min(candidates, key=lambda i: (abs(i - target), i))]

@@ -173,6 +173,37 @@ class TestEmptyAndConfig:
         assert cfg.density_floor == 1.5
         assert cfg.block_tags == DEFAULT_BLOCK_TAGS
 
+    @pytest.mark.parametrize("body", [
+        '{"min_tokens": "x"}',
+        '{"min_tokens": 5.0}',
+        '{"max_tokens": true}',
+        '{"max_tokens": 1e400}',
+        '{"density_floor": null}',
+        '{"density_floor": "2"}',
+        '{"density_floor": false}',
+        '{"density_floor": NaN}',
+        '{"density_floor": -Infinity}',
+        '{"block_tags": "div"}',
+        '{"block_tags": ["div", 3]}',
+        '{"visual_tags": {"em": 1}}',
+        '{"visual_tags": null}',
+    ])
+    def test_config_from_file_rejects_mistyped_values(self, tmp_path, body):
+        path = tmp_path / "seg.json"
+        path.write_text(body, "utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            SegmentationConfig.from_file(path)
+        assert "\n" not in str(excinfo.value)
+
+    def test_config_from_file_accepts_tag_lists_and_integral_floor(self, tmp_path):
+        path = tmp_path / "seg.json"
+        path.write_text('{"block_tags": ["div", "p"], "visual_tags": [], "density_floor": 3}',
+                        "utf-8")
+        cfg = SegmentationConfig.from_file(path)
+        assert cfg.block_tags == frozenset({"div", "p"})
+        assert cfg.visual_tags == frozenset()
+        assert cfg.density_floor == 3
+
     def test_default_visual_tags_track_the_weight_table(self):
         assert DEFAULT_VISUAL_TAGS == frozenset(DEFAULT_VMWT)
 

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import random
+import sys
+import threading
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from segscore import (
     MalformedProfile,
@@ -142,6 +147,28 @@ class TestSnapshotStore:
         with pytest.raises(StorageFailure):
             store.put_snapshot(record("http://a/", T0 - timedelta(seconds=1), [["web"]]))
 
+    def test_files_are_named_and_ordered_by_utc_capture_time(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        store.put_snapshot(record("http://a/", T0, [["web"]]))
+        # 08:00-05:00 is 13:00 UTC: a later capture, though its local clock reads earlier
+        later = record("http://a/", datetime(2026, 1, 1, 8, 0, 0,
+                                             tzinfo=timezone(timedelta(hours=-5))), [["data"]])
+        assert store.put_snapshot(later).name == "20260101T130000_000000.json"
+        assert store.latest_snapshot("http://a/") == later
+        with pytest.raises(StorageFailure, match="is not after 2026-01-01T08:00:00-05:00"):
+            store.put_snapshot(record("http://a/", T0 + timedelta(minutes=30), [["web"]]))
+        assert store.latest_snapshot("http://a/") == later
+
+    def test_snapshot_file_bytes_are_pinned(self, tmp_path):
+        snap = SnapshotRecord(url="http://a/", captured_at=T0,
+                              segments=(SnapshotSegment(7, ("web", "search")),))
+        written = SnapshotStore(tmp_path).put_snapshot(snap)
+        assert written.read_bytes() == (
+            b'{\n  "captured_at": "2026-01-01T12:00:00+00:00",\n  "segments": [\n'
+            b'    {\n      "fingerprint": "7",\n      "tokens": [\n        "web",\n'
+            b'        "search"\n      ]\n    }\n  ],\n  "url": "http://a/",\n  "v": 1\n}'
+        )
+
     def test_urls_are_isolated(self, tmp_path):
         store = SnapshotStore(tmp_path)
         store.put_snapshot(record("http://a/", T0, [["web"]]))
@@ -229,3 +256,107 @@ class TestMatchPriorSegment:
         current = seg(1, ["web", "data"])
         # index 1 is nearer but only similar; index 0 is exact
         assert match_prior_segment(current, snap) is snap.segments[0]
+
+    def test_jaccard_tie_goes_to_the_earlier_prior(self):
+        snap = record("u", T0, [["a", "b", "x"], ["q"], ["a", "b", "y"]])
+        current = seg(1, ["a", "b"])  # 2/3 with priors 0 and 2, both one index away
+        assert match_prior_segment(current, snap) is snap.segments[0]
+
+    def test_empty_segment_matches_an_empty_prior_by_jaccard(self):
+        snap = SnapshotRecord(url="u", captured_at=T0, segments=(
+            SnapshotSegment(11, ("web",)), SnapshotSegment(12, ())))
+        current = Segment(id=0, dom_path=(1, 0), text="", tokens=[], fingerprint=99)
+        assert match_prior_segment(current, snap) is snap.segments[1]
+
+    def test_repeated_tokens_compare_as_sets(self):
+        snap = record("u", T0, [["a", "a", "a", "b"]])
+        current = seg(0, ["a", "b", "b", "c"])  # {a, b} vs {a, b, c}: 2/3
+        assert match_prior_segment(current, snap) is snap.segments[0]
+        assert match_prior_segment(seg(0, ["a", "c", "c", "d"]), snap) is None  # 1/4
+
+    def test_one_snapshot_serves_many_segments(self):
+        lists = [["a", "b"], ["b", "c"], [], ["c", "d", "e"], ["a", "b"], ["e"]]
+        snap = record("u", T0, lists)
+        currents = [seg(i, toks) for i, toks in enumerate(
+            [["b", "c", "d"], [], ["a", "b"], ["e", "f"], ["x"], ["c", "d"], ["d", "e"]])]
+        for _ in range(2):
+            assert [match_prior_segment(c, snap) for c in currents] == \
+                   [_brute_match(c, snap) for c in currents]
+
+    def test_matching_leaves_equality_repr_and_hash_alone(self):
+        a = record("u", T0, [["web", "data"], ["search"]])
+        b = record("u", T0, [["web", "data"], ["search"]])
+        match_prior_segment(seg(0, ["web", "data", "x"]), a)
+        assert a == b
+        assert repr(a) == repr(b)
+        assert hash(a) == hash(b)
+
+
+def _brute_match(segment: Segment, snap: SnapshotRecord) -> SnapshotSegment | None:
+    """Reference matcher: two full scans, fingerprint then Jaccard."""
+    best: tuple[tuple[int, int], SnapshotSegment] | None = None
+    for index, prior in enumerate(snap.segments):
+        if prior.fingerprint == segment.fingerprint:
+            key = (abs(index - segment.id), index)
+            if best is None or key < best[0]:
+                best = (key, prior)
+    if best is not None:
+        return best[1]
+
+    current = set(segment.tokens)
+    for index, prior in enumerate(snap.segments):
+        if token_jaccard(current, set(prior.tokens)) >= 0.5:
+            key = (abs(index - segment.id), index)
+            if best is None or key < best[0]:
+                best = (key, prior)
+    return best[1] if best else None
+
+
+# A small vocabulary makes overlaps common; a fingerprint drawn from a
+# small pool instead of the tokens makes it collide or disagree with them.
+_tokens = st.lists(st.sampled_from("abcdefgh"), max_size=6)
+_fingerprint = st.one_of(st.none(), st.integers(0, 3))
+
+
+def _fingerprint_for(tokens: list[str], drawn: int | None) -> int:
+    return token_fingerprint(tokens) if drawn is None else drawn
+
+
+class TestMatchIndexOracle:
+    @given(st.lists(st.tuples(_tokens, _fingerprint), max_size=8),
+           st.lists(st.tuples(st.integers(0, 9), _tokens, _fingerprint), min_size=1, max_size=6))
+    def test_index_agrees_with_brute_force_scan(self, priors, currents):
+        snap = SnapshotRecord(url="u", captured_at=T0, segments=tuple(
+            SnapshotSegment(_fingerprint_for(toks, fp), tuple(toks)) for toks, fp in priors))
+        for sid, toks, fp in currents:
+            current = Segment(id=sid, dom_path=(1, sid), text=" ".join(toks), tokens=toks,
+                              fingerprint=_fingerprint_for(toks, fp))
+            assert match_prior_segment(current, snap) is _brute_match(current, snap)
+
+    def test_threads_racing_on_the_first_match_agree_with_the_scan(self):
+        rng = random.Random(3)
+        lists = [[rng.choice("abcdefgh") for _ in range(rng.randint(0, 5))] for _ in range(60)]
+        currents = [seg(i, [rng.choice("abcdefgh") for _ in range(rng.randint(0, 5))])
+                    for i in range(60)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                snap = record("u", T0, lists)  # fresh record: no index yet
+                results: list = [None] * 8
+
+                def work(slot: int) -> None:
+                    results[slot] = [match_prior_segment(c, snap) for c in currents]
+
+                threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                expected = [_brute_match(c, snap) for c in currents]
+                for got in results:
+                    assert got is not None
+                    assert all(a is b for a, b in zip(got, expected, strict=True))
+        finally:
+            sys.setswitchinterval(previous)
