@@ -229,13 +229,19 @@ class ReplayProvider:
         return _parse_entities(self._fixtures[key], origin="replay fixture")
 
 
+# Client errors that can clear up on their own: request timeout, rate limit.
+_RETRIED_CLIENT_ERRORS = frozenset({408, 429})
+
+
 class RemoteProvider:
     """POSTs raw UTF-8 text to an annotation endpoint and parses the reply.
 
-    Transient transport and HTTP failures are retried with exponential
-    backoff before giving up with ProviderUnavailable; a reply that does
-    not follow the wire schema raises ProviderProtocol immediately.  At
-    most ``in_flight`` requests run concurrently.
+    Transient failures (transport errors, HTTP 5xx, 408 and 429) are
+    retried with exponential backoff before giving up with
+    ProviderUnavailable; any other HTTP 4xx gives up after one attempt,
+    and a reply that does not follow the wire schema raises
+    ProviderProtocol immediately.  At most ``in_flight`` requests run
+    concurrently.
     """
 
     provider_id = "remote"
@@ -265,6 +271,13 @@ class RemoteProvider:
                 time.sleep(self._backoff * (2 ** (attempt - 1)))
             try:
                 raw = self._post(body)
+            except urllib.error.HTTPError as exc:
+                if 400 <= exc.code < 500 and exc.code not in _RETRIED_CLIENT_ERRORS:
+                    raise ProviderUnavailable(
+                        f"{self._endpoint} refused the request: HTTP {exc.code} {exc.reason}"
+                    ) from exc
+                last_error = exc
+                continue
             except (urllib.error.URLError, OSError) as exc:
                 last_error = exc
                 continue

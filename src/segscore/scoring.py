@@ -168,8 +168,8 @@ def score_freshness(
     is a multiset difference, so added occurrences of an existing term
     count too.
     """
-    if prior_tokens is None:
-        return 0.0
+    if prior_tokens is None or prior_tokens == segment.tokens:
+        return 0.0  # an unchanged segment has an empty diff
     fresh = Counter(segment.tokens) - Counter(prior_tokens)
     total = 0.0
     for tok, count in fresh.items():

@@ -20,10 +20,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from hashlib import blake2b
+from itertools import chain
 from pathlib import Path
 from urllib.parse import urlsplit
 
-from .dom import RAW_TEXT_TAGS, DomNode, body_of, visible_text
+from .dom import RAW_TEXT_TAGS, TEXT_TAG, DomNode, body_of, visible_text
 from .errors import EmptyPage
 from .terms import TermVector, tokenize
 
@@ -130,8 +131,7 @@ class Segment:
 # ── density and fingerprints ────────────────────────────────────────
 
 
-def _density_of(text: str) -> float:
-    tokens = tokenize(text)
+def _density_of(text: str, tokens: TermVector) -> float:
     if not tokens:
         return 0.0
     chars = len(" ".join(text.split()))
@@ -141,7 +141,8 @@ def _density_of(text: str) -> float:
 
 def text_density(node: DomNode) -> float:
     """Tokens per 80-character wrap line of the subtree's visible text."""
-    return _density_of(visible_text(node))
+    text = visible_text(node)
+    return _density_of(text, tokenize(text))
 
 
 def token_fingerprint(tokens: TermVector) -> int:
@@ -150,20 +151,55 @@ def token_fingerprint(tokens: TermVector) -> int:
     Independent of process and PYTHONHASHSEED; equal token lists always
     collide and the separator byte cannot occur inside a token.
     """
-    h = blake2b(digest_size=8)
-    for tok in tokens:
-        h.update(tok.encode("utf-8"))
-        h.update(b"\x1f")
-    return int.from_bytes(h.digest(), "big")
+    data = "\x1f".join(tokens) + "\x1f" if tokens else ""
+    return int.from_bytes(blake2b(data.encode("utf-8"), digest_size=8).digest(), "big")
 
 
 # ── candidate collection ────────────────────────────────────────────
 
 
-@dataclass
 class _Candidate:
-    nodes: list[tuple[tuple[int, ...], DomNode]]
-    is_block: bool
+    """Top nodes of one candidate; its text is walked and tokenized once,
+    on first use."""
+
+    __slots__ = ("nodes", "is_block", "_text", "_tokens", "_has_text")
+
+    def __init__(self, nodes: list[tuple[tuple[int, ...], DomNode]], is_block: bool):
+        self.nodes = nodes
+        self.is_block = is_block
+        self._text: str | None = None
+
+    def _walk(self) -> None:
+        pieces: list[str] = []
+        stack = [node for _, node in reversed(self.nodes)]
+        while stack:
+            cur = stack.pop()
+            if cur.tag == TEXT_TAG:
+                pieces.append(cur.text)
+            elif cur.tag not in RAW_TEXT_TAGS:
+                stack.extend(reversed(cur.children))
+        self._has_text = bool(pieces)
+        self._text = "\n".join(pieces)
+        self._tokens = tokenize(self._text)
+
+    @property
+    def has_text(self) -> bool:
+        """Whether any visible text node, even an empty one, lies under it."""
+        if self._text is None:
+            self._walk()
+        return self._has_text
+
+    @property
+    def text(self) -> str:
+        if self._text is None:
+            self._walk()
+        return self._text
+
+    @property
+    def tokens(self) -> TermVector:
+        if self._text is None:
+            self._walk()
+        return self._tokens
 
 
 def _contains_block(elem: DomNode, block_tags: frozenset[str]) -> bool:
@@ -235,37 +271,18 @@ def _group_candidates(
     return cands
 
 
-def _subtree_texts(node: DomNode, out: list[str]) -> None:
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        if cur.is_text:
-            out.append(cur.text)
-        elif cur.tag not in RAW_TEXT_TAGS:
-            stack.extend(reversed(cur.children))
-
-
-def _cand_text(cand: _Candidate) -> str:
-    pieces: list[str] = []
-    for _, node in cand.nodes:
-        _subtree_texts(node, pieces)
-    return "\n".join(pieces)
-
-
 # ── partition rules ─────────────────────────────────────────────────
 
 
 def _split(cand: _Candidate, cfg: SegmentationConfig) -> list[_Candidate] | None:
     """Sub-candidates when the recursion rule fires, else None."""
-    if not cand.is_block:
+    if not cand.is_block or len(cand.tokens) <= cfg.max_tokens:
         return None
     path, elem = cand.nodes[0]
-    if len(tokenize(_cand_text(cand))) <= cfg.max_tokens:
-        return None
     subs = _group_candidates(elem, path, cfg.block_tags)
     if len(subs) < 2 or not any(s.is_block for s in subs):
         return None
-    densities = [_density_of(_cand_text(s)) for s in subs]
+    densities = [_density_of(s.text, s.tokens) for s in subs]
     if max(densities) - min(densities) <= cfg.density_floor:
         return None  # uniform density: keep long candidates whole
     return subs
@@ -310,13 +327,37 @@ def _collect_features(
     spans: list,
     visual_tags: frozenset[str],
 ) -> None:
-    stack = [node]
+    """Append the subtree's links, images and visual spans in document order.
+
+    One walk: the tokens of an <a> or visual element are those of the text
+    nodes met between entering and leaving it.  Each text node inside such
+    an element is tokenized once, however deeply the elements nest; this
+    equals tokenizing the element's "\n"-joined text, because "\n" never
+    joins or splits a token.
+    """
+    tokens: list[str] = []  # of the text nodes inside an open <a> or span
+    open_elements = 0
+    stack: list = [node]
     while stack:
         cur = stack.pop()
-        if cur.is_text or cur.tag in RAW_TEXT_TAGS:
+        if type(cur) is tuple:  # leaving an <a> or visual element
+            out, at, start = cur
+            if out is links:
+                links[at] = (tokens[start:], links[at][1])
+            else:
+                spans[at] = (spans[at][0], tokens[start:])
+            open_elements -= 1
+            continue
+        if cur.tag == TEXT_TAG:
+            if open_elements:
+                tokens += tokenize(cur.text)
+            continue
+        if cur.tag in RAW_TEXT_TAGS:
             continue
         if cur.tag == "a":
-            links.append((tokenize(visible_text(cur)), _href_tokens(cur.attrs.get("href", ""))))
+            stack.append((links, len(links), len(tokens)))
+            links.append(([], _href_tokens(cur.attrs.get("href", ""))))
+            open_elements += 1
         if cur.tag == "img":
             images.append((
                 tokenize(cur.attrs.get("alt", "")),
@@ -324,24 +365,23 @@ def _collect_features(
                 _src_filename_tokens(cur.attrs.get("src", "")),
             ))
         if cur.tag in visual_tags:
-            spans.append((cur.tag, tokenize(visible_text(cur))))
+            stack.append((spans, len(spans), len(tokens)))
+            spans.append((cur.tag, []))
+            open_elements += 1
         stack.extend(reversed(cur.children))
 
 
-def _build_segment(
-    seg_id: int,
-    nodes: list[tuple[tuple[int, ...], DomNode]],
-    visual_tags: frozenset[str],
-) -> Segment:
-    pieces: list[str] = []
+def _build_segment(seg_id: int, cands: list[_Candidate], visual_tags: frozenset[str]) -> Segment:
+    nodes = [entry for cand in cands for entry in cand.nodes]
+    # a full walk joins every text node with "\n"; a candidate without any
+    # contributes nothing, and "\n" never joins or splits a token
+    text = "\n".join([cand.text for cand in cands if cand.has_text])
+    tokens = list(chain.from_iterable(cand.tokens for cand in cands))
     links: list[tuple[TermVector, TermVector]] = []
     images: list[tuple[TermVector, TermVector, TermVector]] = []
     spans: list[tuple[str, TermVector]] = []
     for _, node in nodes:
-        _subtree_texts(node, pieces)
         _collect_features(node, links, images, spans, visual_tags)
-    text = "\n".join(pieces)
-    tokens = tokenize(text)
     return Segment(
         id=seg_id,
         dom_path=nodes[0][0],
@@ -360,25 +400,26 @@ def segment_page(dom: DomNode, cfg: SegmentationConfig | None = None) -> list[Se
 
     Every visible text node under the body lands in exactly one segment,
     in document order.  Raises EmptyPage when the body has no visible
-    text at all.
+    text at all.  Each candidate's text is walked and tokenized once,
+    and each segment's links, images and spans are gathered in one walk.
     """
     cfg = cfg or SegmentationConfig()
     body = body_of(dom)
-    if not visible_text(body).strip():
-        raise EmptyPage("page body has no visible text")
     bpath: tuple[int, ...] = () if body is dom else (dom.children.index(body),)
+    top = _group_candidates(body, bpath, cfg.block_tags)
+    # the candidates hold every visible text node but whitespace-only runs
+    if not any(cand.text.strip() for cand in top):
+        raise EmptyPage("page body has no visible text")
 
-    flat = _partitioned(_group_candidates(body, bpath, cfg.block_tags), cfg)
-
-    groups: list[list[tuple[tuple[int, ...], DomNode]]] = []
-    for cand in flat:
-        if groups and len(tokenize(_cand_text(cand))) < cfg.min_tokens:
-            groups[-1].extend(cand.nodes)  # short candidate joins its predecessor
+    groups: list[list[_Candidate]] = []
+    for cand in _partitioned(top, cfg):
+        if groups and len(cand.tokens) < cfg.min_tokens:
+            groups[-1].append(cand)  # short candidate joins its predecessor
         else:
-            groups.append(list(cand.nodes))
+            groups.append([cand])
 
     visual = cfg.visual_tags if cfg.visual_tags is not None else DEFAULT_VISUAL_TAGS
-    return [_build_segment(i, nodes, visual) for i, nodes in enumerate(groups)]
+    return [_build_segment(i, cands, visual) for i, cands in enumerate(groups)]
 
 
 def segments_to_json(url: str, segments: list[Segment]) -> dict:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from hashlib import sha256
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import MalformedProfile, MissingFile, StorageFailure
@@ -171,7 +172,14 @@ class SnapshotStore:
     def put_snapshot(self, record: SnapshotRecord) -> Path:
         """Persist one capture; timestamps must strictly increase per URL."""
         directory = self._dir_for(record.url)
-        name = record.captured_at.astimezone(timezone.utc).strftime("%Y%m%dT%H%M%S_%f") + ".json"
+        try:
+            utc = record.captured_at.astimezone(timezone.utc)
+        except OverflowError as exc:
+            raise StorageFailure(
+                f"snapshot time {record.captured_at.isoformat()} has no UTC equivalent: {exc}"
+            ) from exc
+        # %Y does not pad years below 1000, which would break name order
+        name = f"{utc.year:04d}{utc:%m%dT%H%M%S_%f}.json"
         latest = self._latest_name(directory, record.url)
         if latest is not None and name <= latest:
             prior = _read_record(os.path.join(directory, latest))
@@ -179,22 +187,13 @@ class SnapshotStore:
                 f"snapshot timestamps must increase: {record.captured_at.isoformat()} "
                 f"is not after {prior.captured_at.isoformat()}"
             )
-        payload = {
-            "v": 1,
-            "url": record.url,
-            "captured_at": record.captured_at.isoformat(),
-            "segments": [
-                {"fingerprint": str(seg.fingerprint), "tokens": list(seg.tokens)}
-                for seg in record.segments
-            ],
-        }
         final = os.path.join(directory, name)
         try:
             os.makedirs(directory, exist_ok=True)
             fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(json.dumps(payload, indent=2, sort_keys=True))
+                    handle.write(_snapshot_json(record))
                 os.replace(tmp_name, final)  # atomic on POSIX
             except BaseException:
                 try:
@@ -211,6 +210,31 @@ class SnapshotStore:
         directory = self._dir_for(url)
         latest = self._latest_name(directory, url)
         return None if latest is None else _read_record(os.path.join(directory, latest))
+
+
+def _snapshot_json(record: SnapshotRecord) -> str:
+    """The snapshot file text, byte for byte ``json.dumps(payload, indent=2,
+    sort_keys=True)`` for the payload ``{"v": 1, "url": ..., "captured_at":
+    ..., "segments": [{"fingerprint": "<decimal>", "tokens": [...]}, ...]}``.
+
+    json.dumps falls back to its pure-Python encoder whenever an indent is
+    given; here only the layout is Python and every string goes through
+    the C escaper json.dumps itself uses.
+    """
+    enc = encode_basestring_ascii
+    segments = []
+    for seg in record.segments:
+        if seg.tokens:
+            tokens = "[\n        " + ",\n        ".join(map(enc, seg.tokens)) + "\n      ]"
+        else:
+            tokens = "[]"
+        segments.append('{\n      "fingerprint": ' + enc(str(seg.fingerprint))
+                        + ',\n      "tokens": ' + tokens + "\n    }")
+    listing = "[\n    " + ",\n    ".join(segments) + "\n  ]" if segments else "[]"
+    return ('{\n  "captured_at": ' + enc(record.captured_at.isoformat())
+            + ',\n  "segments": ' + listing
+            + ',\n  "url": ' + enc(record.url)
+            + ',\n  "v": 1\n}')
 
 
 def _read_record(path: str) -> SnapshotRecord:

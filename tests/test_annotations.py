@@ -291,6 +291,22 @@ class TestRemoteProvider:
         assert len(provider.annotate("x")) == 2
         assert len(annotation_server.requests) == 2
 
+    def test_client_error_is_not_retried(self, annotation_server):
+        annotation_server.plan = [(404, b"no such route"), (200, GOOD)]
+        provider = RemoteProvider(endpoint_of(annotation_server),
+                                  retries=3, backoff=0.01)
+        with pytest.raises(ProviderUnavailable, match="HTTP 404"):
+            provider.annotate("x")
+        assert len(annotation_server.requests) == 1
+
+    @pytest.mark.parametrize("status", [408, 429, 503])
+    def test_timeout_rate_limit_and_server_errors_are_retried(self, annotation_server, status):
+        annotation_server.plan = [(status, b"later"), (200, GOOD)]
+        provider = RemoteProvider(endpoint_of(annotation_server),
+                                  retries=3, backoff=0.01)
+        assert len(provider.annotate("x")) == 2
+        assert len(annotation_server.requests) == 2
+
     def test_persistent_failure_becomes_unavailable(self, annotation_server):
         annotation_server.plan = [(500, b"boom")]
         provider = RemoteProvider(endpoint_of(annotation_server),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -111,6 +113,25 @@ class TestFreshnessScore:
     def test_removed_tokens_never_count(self):
         seg = make_segment(tokens=["data"])
         assert score_freshness(seg, ["web", "search", "data"], FUSED_TERMS) == 0.0
+
+    def test_equal_lists_score_zero_and_reorders_still_diff_as_multisets(self):
+        seg = make_segment(tokens=["web", "python", "web"])
+        assert score_freshness(seg, ["web", "python", "web"], FUSED_TERMS) == 0.0
+        assert score_freshness(seg, ("web", "python", "web"), FUSED_TERMS) == 0.0
+        assert score_freshness(seg, ["python", "web", "web"], FUSED_TERMS) == 0.0
+        assert score_freshness(seg, ["python", "web"], FUSED_TERMS) == pytest.approx(1.0)
+        assert score_freshness(seg, ["web", "python"], FUSED_TERMS) == pytest.approx(1.0)
+
+    @given(st.lists(st.sampled_from(["web", "search", "python", "data"]), max_size=6),
+           st.sampled_from(["same", "shuffled", "drawn"]),
+           st.lists(st.sampled_from(["web", "search", "python", "data"]), max_size=6),
+           st.randoms(use_true_random=False))
+    def test_freshness_is_the_multiset_difference(self, tokens, how, drawn, rng):
+        prior = {"same": list(tokens), "shuffled": rng.sample(tokens, len(tokens)),
+                 "drawn": drawn}[how]
+        fresh = Counter(tokens) - Counter(prior)
+        expected = sum(FUSED_TERMS.get(tok, 0.0) * n for tok, n in fresh.items())
+        assert score_freshness(make_segment(tokens=tokens), prior, FUSED_TERMS) == expected
 
 
 class TestProfileScore:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
+from hashlib import blake2b
 
 import pytest
 from hypothesis import given
@@ -21,9 +23,18 @@ from segscore import (
     tokenize,
     visible_text,
 )
+from segscore.dom import RAW_TEXT_TAGS, TEXT_TAG, DomNode
 from segscore.reports import resolve_path
 from segscore.scoring import DEFAULT_VMWT
-from segscore.segmenter import DEFAULT_BLOCK_TAGS, DEFAULT_VISUAL_TAGS
+from segscore.segmenter import (
+    DEFAULT_BLOCK_TAGS,
+    DEFAULT_VISUAL_TAGS,
+    LINE_WIDTH,
+    Segment,
+    _group_candidates,
+    _href_tokens,
+    _src_filename_tokens,
+)
 
 from conftest import DATA_DIR
 from genhtml import VOCAB, random_document
@@ -286,3 +297,216 @@ class TestPartitionProperty:
     @given(st.integers(min_value=0, max_value=10_000))
     def test_generated_documents_partition_exactly(self, seed: int):
         assert_partition(random_document(random.Random(seed)))
+
+
+# ── reference segmenter ─────────────────────────────────────────────
+# The walk-per-use segmenter that the cached-text segmenter replaced.
+# It re-walks and re-tokenizes each candidate wherever it needs the text,
+# and re-walks every <a> and visual element for its own text.  The
+# candidate grouping it shares is imported unchanged.
+
+
+def _ref_subtree_texts(node, out: list[str]) -> None:
+    stack = [node]
+    while stack:
+        cur = stack.pop()
+        if cur.is_text:
+            out.append(cur.text)
+        elif cur.tag not in RAW_TEXT_TAGS:
+            stack.extend(reversed(cur.children))
+
+
+def _ref_cand_text(cand) -> str:
+    pieces: list[str] = []
+    for _, node in cand.nodes:
+        _ref_subtree_texts(node, pieces)
+    return "\n".join(pieces)
+
+
+def _ref_density_of(text: str) -> float:
+    tokens = tokenize(text)
+    if not tokens:
+        return 0.0
+    chars = len(" ".join(text.split()))
+    lines = max(1, math.ceil(chars / LINE_WIDTH))
+    return len(tokens) / lines
+
+
+def _ref_fingerprint(tokens) -> int:
+    h = blake2b(digest_size=8)
+    for tok in tokens:
+        h.update(tok.encode("utf-8"))
+        h.update(b"\x1f")
+    return int.from_bytes(h.digest(), "big")
+
+
+def _ref_split(cand, cfg):
+    if not cand.is_block:
+        return None
+    path, elem = cand.nodes[0]
+    if len(tokenize(_ref_cand_text(cand))) <= cfg.max_tokens:
+        return None
+    subs = _group_candidates(elem, path, cfg.block_tags)
+    if len(subs) < 2 or not any(s.is_block for s in subs):
+        return None
+    densities = [_ref_density_of(_ref_cand_text(s)) for s in subs]
+    if max(densities) - min(densities) <= cfg.density_floor:
+        return None
+    return subs
+
+
+def _ref_partitioned(cands, cfg):
+    out = []
+    stack = list(reversed(cands))
+    while stack:
+        cand = stack.pop()
+        subs = _ref_split(cand, cfg)
+        if subs is None:
+            out.append(cand)
+        else:
+            stack.extend(reversed(subs))
+    return out
+
+
+def _ref_collect_features(node, links, images, spans, visual_tags) -> None:
+    stack = [node]
+    while stack:
+        cur = stack.pop()
+        if cur.is_text or cur.tag in RAW_TEXT_TAGS:
+            continue
+        if cur.tag == "a":
+            links.append((tokenize(visible_text(cur)), _href_tokens(cur.attrs.get("href", ""))))
+        if cur.tag == "img":
+            images.append((
+                tokenize(cur.attrs.get("alt", "")),
+                tokenize(cur.attrs.get("title", "")),
+                _src_filename_tokens(cur.attrs.get("src", "")),
+            ))
+        if cur.tag in visual_tags:
+            spans.append((cur.tag, tokenize(visible_text(cur))))
+        stack.extend(reversed(cur.children))
+
+
+def _ref_build_segment(seg_id, nodes, visual_tags) -> Segment:
+    pieces: list[str] = []
+    links: list = []
+    images: list = []
+    spans: list = []
+    for _, node in nodes:
+        _ref_subtree_texts(node, pieces)
+        _ref_collect_features(node, links, images, spans, visual_tags)
+    text = "\n".join(pieces)
+    tokens = tokenize(text)
+    return Segment(
+        id=seg_id, dom_path=nodes[0][0], text=text, tokens=tokens, links=links,
+        images=images, visual_spans=spans, fingerprint=_ref_fingerprint(tokens),
+        node_paths=tuple(path for path, _ in nodes),
+    )
+
+
+def reference_segment_page(dom, cfg: SegmentationConfig | None = None) -> list[Segment]:
+    cfg = cfg or SegmentationConfig()
+    body = body_of(dom)
+    if not visible_text(body).strip():
+        raise EmptyPage("page body has no visible text")
+    bpath = () if body is dom else (dom.children.index(body),)
+    flat = _ref_partitioned(_group_candidates(body, bpath, cfg.block_tags), cfg)
+    groups: list[list] = []
+    for cand in flat:
+        if groups and len(tokenize(_ref_cand_text(cand))) < cfg.min_tokens:
+            groups[-1].extend(cand.nodes)
+        else:
+            groups.append(list(cand.nodes))
+    visual = cfg.visual_tags if cfg.visual_tags is not None else DEFAULT_VISUAL_TAGS
+    return [_ref_build_segment(i, nodes, visual) for i, nodes in enumerate(groups)]
+
+
+def assert_same_as_reference(dom, cfg: SegmentationConfig | None = None) -> list[Segment]:
+    try:
+        expected = reference_segment_page(dom, cfg)
+    except EmptyPage:
+        with pytest.raises(EmptyPage):
+            segment_page(dom, cfg)
+        return []
+    got = segment_page(dom, cfg)
+    assert got == expected
+    return got
+
+
+@st.composite
+def segmentation_configs(draw) -> SegmentationConfig:
+    min_tokens = draw(st.integers(min_value=1, max_value=15))
+    return SegmentationConfig(
+        min_tokens=min_tokens,
+        max_tokens=draw(st.integers(min_value=min_tokens + 1, max_value=60)),
+        density_floor=draw(st.sampled_from([0.0, 0.5, 2.0, 6.0])),
+        visual_tags=draw(st.none() | st.frozensets(st.sampled_from(
+            ["a", "b", "em", "strong", "span", "code", "li", "img", "p", "div", "script"]))),
+    )
+
+
+class TestCachedTextOracle:
+    """segment_page equals the walk-per-use reference, segment for segment."""
+
+    @given(st.integers(min_value=0, max_value=10_000), segmentation_configs())
+    def test_generated_documents_match_the_reference(self, seed, cfg):
+        assert_same_as_reference(parse_html(random_document(random.Random(seed))), cfg)
+
+    def test_corpus_pages_match_the_reference(self, corpus_paths):
+        for path in corpus_paths:
+            assert_same_as_reference(parse_html(path.read_text("utf-8")))
+
+    def test_nested_links_inside_emphasis_inside_a_link(self):
+        html = page('<p>lead <a href="/outer">out <b>bold <a href="/inner">in'
+                    ' <i>deep</i></a> tail</b> end</a> after</p>')
+        cfg = SegmentationConfig(visual_tags=frozenset({"a", "b", "i"}))
+        seg, = assert_same_as_reference(parse_html(html), cfg)
+        assert seg.links == [(["out", "bold", "in", "deep", "tail", "end"], ["outer"]),
+                             (["in", "deep"], ["inner"])]
+        assert [tag for tag, _ in seg.visual_spans] == ["a", "b", "a", "i"]
+        assert seg.visual_spans[1] == ("b", ["bold", "in", "deep", "tail"])
+
+    def test_image_only_run_merges_into_its_predecessor(self):
+        html = page(f'<p>{TWELVE}</p><img src="/x/cat.png" alt="a cat"><p>{ELEVEN}</p>')
+        first, second = assert_same_as_reference(parse_html(html))
+        assert first.text == TWELVE and len(first.node_paths) == 2
+        assert first.images == [(["a", "cat"], [], ["cat", "png"])]
+        assert second.text == ELEVEN
+
+    def test_block_without_text_merges_into_its_predecessor(self):
+        html = page(f"<div>{TWELVE}</div><div><img src='a.png'><script>x()</script></div>"
+                    f"<div>{ELEVEN}</div>")
+        first, _ = assert_same_as_reference(parse_html(html))
+        assert first.text == TWELVE and len(first.node_paths) == 2
+
+    def test_empty_text_node_is_kept_in_the_join(self):
+        # parse_html never makes one, but a built tree can hold one
+        body = DomNode("body", children=[
+            DomNode("p", children=[DomNode(TEXT_TAG, text=TWELVE)]),
+            DomNode("p", children=[DomNode(TEXT_TAG, text="")]),
+            DomNode("p", children=[DomNode(TEXT_TAG, text="x")]),
+        ])
+        seg, = assert_same_as_reference(DomNode("html", children=[DomNode("head"), body]))
+        assert seg.text == TWELVE + "\n\nx"
+
+    def test_non_ascii_and_final_sigma_text(self):
+        html = page(f"<p>ΟΔΟΣ<b>ΣΑΣ</b>Σ Straße İstanbul {TWELVE}</p>"
+                    f"<p>ΑΣ</p><div>Σ日本語 ΌΣΟΣ café</div>")
+        cfg = SegmentationConfig(min_tokens=3)
+        segs = assert_same_as_reference(parse_html(html), cfg)
+        assert segs[0].tokens[:3] == ["οδος", "σας", "σ"]
+        assert "ας" in segs[0].tokens
+
+    def test_blank_body_raises_like_the_reference(self):
+        for body in ["", "   \n  ", "<p> </p><script>var a = 1;</script>", "<img src='a.png'>"]:
+            assert_same_as_reference(parse_html(page(body)))
+
+    def test_body_without_tokens_is_not_empty(self):
+        seg, = assert_same_as_reference(parse_html(page("<p>!!! ---</p> <i>?</i>")))
+        assert seg.tokens == [] and seg.text == "!!! ---\n \n?"
+
+    def test_nested_emphasis_matches_the_reference(self):
+        opens = "".join(f"<b>w{i} x{i} " for i in range(200))
+        seg, = assert_same_as_reference(parse_html(page(f"<p>{opens}{'</b>' * 200}</p>")))
+        assert len(seg.visual_spans) == 200
+        assert seg.visual_spans[-1] == ("b", ["w199", "x199"])

@@ -27,7 +27,7 @@ from segscore import (
     save_profile,
     token_fingerprint,
 )
-from segscore.stores import token_jaccard
+from segscore.stores import _snapshot_json, token_jaccard
 
 from conftest import DATA_DIR
 
@@ -168,6 +168,39 @@ class TestSnapshotStore:
             b'    {\n      "fingerprint": "7",\n      "tokens": [\n        "web",\n'
             b'        "search"\n      ]\n    }\n  ],\n  "url": "http://a/",\n  "v": 1\n}'
         )
+
+    def test_years_below_1000_are_zero_padded_and_sort_first(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        ancient = record("http://a/", datetime(999, 1, 1, tzinfo=timezone.utc), [["web"]])
+        assert store.put_snapshot(ancient).name == "09990101T000000_000000.json"
+        assert store.latest_snapshot("http://a/") == ancient
+        later = record("http://a/", T0, [["data"]])
+        store.put_snapshot(later)
+        assert store.latest_snapshot("http://a/") == later
+        with pytest.raises(StorageFailure, match="must increase"):
+            store.put_snapshot(record("http://a/", datetime(998, 1, 1, tzinfo=timezone.utc),
+                                      [["web"]]))
+
+    @pytest.mark.parametrize("at, name", [
+        (datetime(1000, 1, 1, tzinfo=timezone.utc), "10000101T000000_000000.json"),
+        (datetime(9999, 12, 31, 23, 59, 59, 999999, tzinfo=timezone.utc),
+         "99991231T235959_999999.json"),
+        (datetime(2026, 1, 1, 8, 0, 0, 5, tzinfo=timezone(timedelta(hours=-5))),
+         "20260101T130000_000005.json"),
+    ])
+    def test_names_of_four_digit_years_are_unchanged(self, tmp_path, at, name):
+        assert SnapshotStore(tmp_path).put_snapshot(record("http://a/", at, [])).name == name
+        assert name == at.astimezone(timezone.utc).strftime("%Y%m%dT%H%M%S_%f") + ".json"
+
+    @pytest.mark.parametrize("at", [
+        datetime(1, 1, 1, tzinfo=timezone(timedelta(hours=1))),
+        datetime(9999, 12, 31, 23, 30, tzinfo=timezone(timedelta(hours=-1))),
+    ])
+    def test_time_outside_the_utc_range_is_a_storage_failure(self, tmp_path, at):
+        with pytest.raises(StorageFailure) as failure:
+            SnapshotStore(tmp_path).put_snapshot(record("http://a/", at, [["web"]]))
+        assert "\n" not in str(failure.value)
+        assert not list(tmp_path.iterdir())
 
     def test_urls_are_isolated(self, tmp_path):
         store = SnapshotStore(tmp_path)
@@ -360,3 +393,53 @@ class TestMatchIndexOracle:
                     assert all(a is b for a, b in zip(got, expected, strict=True))
         finally:
             sys.setswitchinterval(previous)
+
+
+# Any code point, lone surrogates and controls included: the file text
+# must still be exactly what json.dumps would have written.
+_any_text = st.text(st.characters(exclude_categories=()), max_size=12)
+
+
+@st.composite
+def snapshot_records(draw) -> SnapshotRecord:
+    offset = draw(st.integers(-23 * 60, 23 * 60))
+    at = draw(st.datetimes(min_value=datetime(1000, 1, 2), max_value=datetime(9999, 12, 30)))
+    return SnapshotRecord(
+        url=draw(st.one_of(_any_text, st.sampled_from(
+            ["", "http://a/", 'http://x/"q"?a=\\b#\u00e9', "file:///p%20q\x00\x7f.html"]))),
+        captured_at=at.replace(tzinfo=timezone(timedelta(minutes=offset))),
+        segments=tuple(
+            SnapshotSegment(fp, tuple(tokens)) for fp, tokens in draw(st.lists(
+                st.tuples(st.integers(-2**70, 2**70), st.lists(_any_text, max_size=5)),
+                max_size=5))
+        ),
+    )
+
+
+class TestSnapshotFormatter:
+    @given(snapshot_records())
+    def test_text_equals_json_dumps_with_indent(self, snap):
+        payload = {
+            "v": 1,
+            "url": snap.url,
+            "captured_at": snap.captured_at.isoformat(),
+            "segments": [
+                {"fingerprint": str(seg.fingerprint), "tokens": list(seg.tokens)}
+                for seg in snap.segments
+            ],
+        }
+        assert _snapshot_json(snap) == json.dumps(payload, indent=2, sort_keys=True)
+
+    def test_empty_segments_and_empty_token_lists(self):
+        snap = SnapshotRecord(url="u", captured_at=T0, segments=(
+            SnapshotSegment(0, ()), SnapshotSegment(1, ("\ud800", '"', "\x1f"))))
+        assert _snapshot_json(snap) == (
+            '{\n  "captured_at": "2026-01-01T12:00:00+00:00",\n  "segments": [\n'
+            '    {\n      "fingerprint": "0",\n      "tokens": []\n    },\n'
+            '    {\n      "fingerprint": "1",\n      "tokens": [\n'
+            '        "\\ud800",\n        "\\"",\n        "\\u001f"\n      ]\n    }\n'
+            '  ],\n  "url": "u",\n  "v": 1\n}')
+        bare = SnapshotRecord(url="u", captured_at=T0, segments=())
+        assert _snapshot_json(bare) == (
+            '{\n  "captured_at": "2026-01-01T12:00:00+00:00",\n  "segments": [],\n'
+            '  "url": "u",\n  "v": 1\n}')
