@@ -15,6 +15,7 @@ from .annotations import (
     RemoteProvider,
     ReplayProvider,
     annotate,
+    annotate_texts,
     annotation_score,
     text_key,
 )

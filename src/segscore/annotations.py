@@ -15,6 +15,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from hashlib import sha256
 from pathlib import Path
@@ -33,6 +34,7 @@ __all__ = [
     "ReplayProvider",
     "RemoteProvider",
     "annotate",
+    "annotate_texts",
     "annotation_score",
     "text_key",
 ]
@@ -241,7 +243,7 @@ class RemoteProvider:
     ProviderUnavailable; any other HTTP 4xx gives up after one attempt,
     and a reply that does not follow the wire schema raises
     ProviderProtocol immediately.  At most ``in_flight`` requests run
-    concurrently.
+    concurrently; ``annotate_texts`` overlaps that many.
     """
 
     provider_id = "remote"
@@ -257,6 +259,9 @@ class RemoteProvider:
     ):
         if retries < 1:
             raise ValueError("retries must be >= 1")
+        if in_flight < 1:
+            raise ValueError("in_flight must be >= 1")
+        self.in_flight = in_flight
         self._endpoint = endpoint
         self._timeout = timeout
         self._retries = retries
@@ -272,6 +277,7 @@ class RemoteProvider:
             try:
                 raw = self._post(body)
             except urllib.error.HTTPError as exc:
+                exc.close()  # the error holds the response and its socket
                 if 400 <= exc.code < 500 and exc.code not in _RETRIED_CLIENT_ERRORS:
                     raise ProviderUnavailable(
                         f"{self._endpoint} refused the request: HTTP {exc.code} {exc.reason}"
@@ -303,6 +309,27 @@ def annotate(text: str, provider, segment_id: int = 0) -> AnnotationSet:
     entities = provider.annotate(text)
     return AnnotationSet(entities=entities, provider_id=provider.provider_id,
                          segment_id=segment_id)
+
+
+def annotate_texts(provider, texts: Sequence[str], workers: int | None = None) -> list:
+    """Each text's entities or provider error, in input order.
+
+    Only a RemoteProvider overlaps requests: up to ``workers``, which its
+    ``in_flight`` caps and replaces when None.  An error keeps only its
+    class and message; any other exception propagates.
+    """
+    def one(text: str):
+        try:
+            return provider.annotate(text)
+        except (ProviderUnavailable, ProviderProtocol) as exc:
+            return type(exc)(str(exc))
+
+    threads = (min(workers or provider.in_flight, provider.in_flight, len(texts))
+               if isinstance(provider, RemoteProvider) else 1)
+    if threads <= 1:
+        return [one(text) for text in texts]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(one, texts))
 
 
 def annotation_score(

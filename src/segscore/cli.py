@@ -23,10 +23,10 @@ from .annotations import (
     GazetteerProvider,
     RemoteProvider,
     ReplayProvider,
-    annotate,
+    annotate_texts,
 )
 from .dom import parse_html
-from .errors import EmptyPage, ProviderProtocol, ProviderUnavailable, SegscoreError
+from .errors import EmptyPage, SegscoreError
 from .pipeline import (
     PageReport,
     ScoreConfig,
@@ -147,6 +147,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         coefficients=coeffs,
         provider=_build_provider(args),
         snapshot_store=SnapshotStore(args.snapshots) if args.snapshots else None,
+        keep_segments=args.format == "html",
     )
     data = _read_input(args.input)
     query = Query.parse(args.query)
@@ -158,13 +159,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         print("segscore: page body has no visible text; report is empty",
               file=sys.stderr)
     if args.format == "html":
-        dom = parse_html(data)
-        try:
-            segments = segment_page(
-                dom, SegmentationConfig(visual_tags=frozenset(vmwt.tag_weights)))
-        except EmptyPage:
-            segments = []
-        _emit(score_report_html(report, segments), args.out)
+        _emit(score_report_html(report, report.segments), args.out)
     else:
         _emit(_dump_json(report.to_json_dict()), args.out)
     return EXIT_OK
@@ -181,19 +176,14 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         segments = []
         print("segscore: page body has no visible text; nothing to annotate",
               file=sys.stderr)
-    listing = []
-    for seg in segments:
-        entry: dict = {"segment_id": seg.id, "entities": []}
-        if seg.text.strip():
-            try:
-                ann = annotate(seg.text, provider, segment_id=seg.id)
-                entry["entities"] = [
-                    {"category": e.category, "name": e.name, "relevance": e.relevance}
-                    for e in ann.entities
-                ]
-            except (ProviderUnavailable, ProviderProtocol) as exc:
-                entry["error"] = str(exc)
-        listing.append(entry)
+    listing = [{"segment_id": seg.id, "entities": []} for seg in segments]
+    wanted = [i for i, seg in enumerate(segments) if seg.text.strip()]
+    for i, outcome in zip(wanted, annotate_texts(provider, [segments[i].text for i in wanted])):
+        if isinstance(outcome, Exception):
+            listing[i]["error"] = str(outcome)
+        else:
+            listing[i]["entities"] = [{"category": e.category, "name": e.name,
+                                       "relevance": e.relevance} for e in outcome]
     payload = {"v": 1, "url": args.input, "provider": provider.provider_id,
                "annotations": listing}
     _emit(_dump_json(payload), args.out)

@@ -1,24 +1,24 @@
 """Page scoring pipeline and session-level statistics.
 
-score_page ties everything together: parse, segment, score each segment
-structurally, annotate, and sum.  Per-segment work fans out to a thread
-pool, but records are always assembled and summed in segment order, so
-results never depend on scheduling.  A snapshot of the page is stored
-only after scoring, which keeps freshness relative to the previous
-visit.
+score_page ties everything together: parse, segment, annotate, score
+each segment structurally, and sum.  It runs in the calling thread; only
+a remote annotation provider overlaps its requests (see
+``annotate_texts``).  Records are assembled and summed in segment order.
+A snapshot of the page is stored only after scoring, which keeps
+freshness relative to the previous visit.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from functools import reduce
+from operator import add
 from typing import Iterable, Sequence
 
-from .annotations import CategoryWeights, Entity, annotate, annotation_score
+from .annotations import AnnotationSet, CategoryWeights, Entity, annotate_texts, annotation_score
 from .dom import page_title_tokens, parse_html
-from .errors import EmptySession, ProviderProtocol, ProviderUnavailable
+from .errors import EmptySession, ProviderUnavailable
 from .scoring import DimensionCoefficients, DimensionScores, Vmwt, structural_score
 from .segmenter import Segment, SegmentationConfig, segment_page
 from .stores import SnapshotRecord, SnapshotStore, Profile, match_prior_segment
@@ -49,7 +49,8 @@ class ScoreConfig:
     provider: object | None = None
     snapshot_store: SnapshotStore | None = None
     write_snapshot: bool = True
-    workers: int | None = None  # None -> CPU count
+    workers: int | None = None  # remote annotation requests in flight; None -> provider's in_flight
+    keep_segments: bool = False  # fill PageReport.segments
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,8 @@ class PageReport:
     segment_records: list[SegmentScoreRecord]
     page_score: float
     flags: list[str] = field(default_factory=list)
+    # the scored segments, with ScoreConfig.keep_segments; never serialized
+    segments: list[Segment] = field(default_factory=list, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -148,10 +151,18 @@ def score_page(
     snap = cfg.snapshot_store.latest_snapshot(url) if cfg.snapshot_store else None
 
     flags: list[str] = []
+    found = {}  # segment id -> entities or provider error
     if cfg.provider is None:
         flags.append("annotations disabled: no provider configured")
+    else:
+        wanted = [segment for segment in segments if segment.text.strip()]
+        found = dict(zip([segment.id for segment in wanted], annotate_texts(
+            cfg.provider, [segment.text for segment in wanted], cfg.workers)))
 
-    def score_one(segment: Segment) -> tuple[SegmentScoreRecord, list[str]]:
+    records: list[SegmentScoreRecord] = []
+    page_score = 0.0
+    for segment in segments:
+        outcome = found.get(segment.id)
         prior_tokens = None
         if snap is not None:
             prior = match_prior_segment(segment, snap)
@@ -163,46 +174,25 @@ def score_page(
         )
         ann_score = 0.0
         entities: tuple[Entity, ...] = ()
-        seg_flags: list[str] = []
-        if cfg.provider is not None and segment.text.strip():
-            try:
-                ann = annotate(segment.text, cfg.provider, segment_id=segment.id)
-                ann_score = annotation_score(ann, fused, cfg.category_weights)
-                entities = tuple(ann.entities)
-            except ProviderUnavailable as exc:
-                seg_flags.append(f"annotation provider unavailable for segment {segment.id}: {exc}")
-            except ProviderProtocol as exc:
-                seg_flags.append(f"annotation provider protocol error for segment {segment.id}: {exc}")
-        record = SegmentScoreRecord(
-            segment_id=segment.id,
-            dimensions=dims,
-            delta=delta,
-            annotation=ann_score,
-            total=delta + ann_score,
-            entities=entities,
-        )
-        return record, seg_flags
-
-    workers = cfg.workers if cfg.workers is not None else (os.cpu_count() or 1)
-    if workers > 1 and len(segments) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(score_one, segments))  # keeps segment order
-    else:
-        outcomes = [score_one(seg) for seg in segments]
-
-    records = [record for record, _ in outcomes]
-    for _, seg_flags in outcomes:
-        flags.extend(seg_flags)
-    page_score = 0.0
-    for record in records:
-        page_score += record.total
+        if isinstance(outcome, Exception):
+            kind = "unavailable" if isinstance(outcome, ProviderUnavailable) else "protocol error"
+            flags.append(f"annotation provider {kind} for segment {segment.id}: {outcome}")
+        elif outcome is not None:
+            ann = AnnotationSet(outcome, cfg.provider.provider_id, segment.id)
+            ann_score = annotation_score(ann, fused, cfg.category_weights)
+            entities = tuple(outcome)
+        total = delta + ann_score
+        records.append(SegmentScoreRecord(segment_id=segment.id, dimensions=dims, delta=delta,
+                                          annotation=ann_score, total=total, entities=entities))
+        page_score += total
 
     if cfg.snapshot_store is not None and cfg.write_snapshot:
-        cfg.snapshot_store.put_snapshot(
+        cfg.snapshot_store._put(
             SnapshotRecord.for_segments(url, datetime.now(timezone.utc), segments)
         )
     return PageReport(url=url, query=query.raw, segment_records=records,
-                      page_score=page_score, flags=flags)
+                      page_score=page_score, flags=flags,
+                      segments=segments if cfg.keep_segments else [])
 
 
 # ── session statistics ──────────────────────────────────────────────
@@ -216,6 +206,11 @@ class SessionStats:
     msc: float
     msss: float
     mcas: float
+
+
+def _sum_left(values: Iterable[float]) -> float:
+    # left to right on every interpreter; builtin sum() is compensated from 3.12 on
+    return reduce(add, values, 0.0)
 
 
 def compute_session_stats(session: Iterable[PageReport], session_id: str = "") -> SessionStats:
@@ -232,8 +227,8 @@ def compute_session_stats(session: Iterable[PageReport], session_id: str = "") -
     msc = segment_count / len(reports)
     if segment_count == 0:
         return SessionStats(session_id=session_id, msc=0.0, msss=0.0, mcas=0.0)
-    msss = sum(rec.delta for r in reports for rec in r.segment_records) / segment_count
-    mcas = sum(rec.annotation for r in reports for rec in r.segment_records) / segment_count
+    msss = _sum_left(rec.delta for r in reports for rec in r.segment_records) / segment_count
+    mcas = _sum_left(rec.annotation for r in reports for rec in r.segment_records) / segment_count
     return SessionStats(session_id=session_id, msc=msc, msss=msss, mcas=mcas)
 
 
@@ -299,8 +294,8 @@ def reference_table_checks(
     """
     if not stats:
         raise EmptySession("no session stats to check")
-    msss_mean = sum(s.msss for s in stats) / len(stats)
-    mcas_mean = sum(s.mcas for s in stats) / len(stats)
+    msss_mean = _sum_left(s.msss for s in stats) / len(stats)
+    mcas_mean = _sum_left(s.mcas for s in stats) / len(stats)
     lo, hi = ratio_band
     ratios: list[tuple[str, float]] = []
     failures: list[str] = []

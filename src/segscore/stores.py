@@ -171,6 +171,11 @@ class SnapshotStore:
 
     def put_snapshot(self, record: SnapshotRecord) -> Path:
         """Persist one capture; timestamps must strictly increase per URL."""
+        return Path(self._put(record))
+
+    def _put(self, record: SnapshotRecord) -> str:
+        """put_snapshot returning the path as a string, which score_page
+        uses: a Path would parse, and intern, every new file name."""
         directory = self._dir_for(record.url)
         try:
             utc = record.captured_at.astimezone(timezone.utc)
@@ -203,7 +208,7 @@ class SnapshotStore:
                 raise
         except OSError as exc:
             raise StorageFailure(f"cannot write snapshot for {record.url}: {exc}") from exc
-        return Path(final)
+        return final
 
     def latest_snapshot(self, url: str) -> SnapshotRecord | None:
         """Most recent capture of the URL, or None on first visit."""

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import http.server
+import json
+import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -73,3 +77,59 @@ def gazetteer() -> Gazetteer:
 @pytest.fixture()
 def gazetteer_provider(gazetteer) -> GazetteerProvider:
     return GazetteerProvider(gazetteer)
+
+
+class _FanOutHandler(http.server.BaseHTTPRequestHandler):
+    """Annotation endpoint that counts the requests open at once.
+
+    A text containing "missing" gets a 404.  With ``fail_first`` the first
+    request for each text gets a 503.  Otherwise the reply is one Topic
+    entity named after the whole text.  Until ``hold`` requests have been
+    open at once, each request waits (up to ``hold_s``) for that to happen,
+    so a client that can keep that many in flight is seen doing so.
+    """
+
+    def do_POST(self):
+        server = self.server
+        text = self.rfile.read(int(self.headers["Content-Length"])).decode("utf-8")
+        with server.cond:
+            server.seen[text] += 1
+            first = server.seen[text] == 1
+            server.open += 1
+            server.max_open = max(server.max_open, server.open)
+            server.cond.notify_all()
+            server.cond.wait_for(lambda: server.max_open >= server.hold, timeout=server.hold_s)
+            # closed before the reply goes out, so the client's next request
+            # can never overlap this one in the count
+            server.open -= 1
+        if "missing" in text:
+            status, payload = 404, b"no such text"
+        elif first and server.fail_first:
+            status, payload = 503, b"later"
+        else:
+            status = 200
+            payload = json.dumps({"entities": [{"type": "Topic", "name": text}]}).encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):  # keep test output clean
+        pass
+
+
+@pytest.fixture()
+def fanout_server():
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _FanOutHandler)
+    server.daemon_threads = True
+    server.cond = threading.Condition()
+    server.seen = Counter()
+    server.open = server.max_open = 0
+    server.hold, server.hold_s = 1, 2.0
+    server.fail_first = False
+    server.endpoint = f"http://127.0.0.1:{server.server_address[1]}/annotate"
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import http.server
 import json
 import threading
 import time
+import warnings
 
 import pytest
 from hypothesis import given
@@ -22,6 +24,7 @@ from segscore import (
     RemoteProvider,
     ReplayProvider,
     annotate,
+    annotate_texts,
     annotation_score,
     text_key,
     tokenize,
@@ -299,6 +302,17 @@ class TestRemoteProvider:
             provider.annotate("x")
         assert len(annotation_server.requests) == 1
 
+    def test_error_responses_are_closed(self, annotation_server):
+        annotation_server.plan = [(503, b"later")]
+        provider = RemoteProvider(endpoint_of(annotation_server), retries=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(ProviderUnavailable) as raised:
+                provider.annotate("x")
+            del raised  # drops the HTTPError, and with it any socket left open
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
     @pytest.mark.parametrize("status", [408, 429, 503])
     def test_timeout_rate_limit_and_server_errors_are_retried(self, annotation_server, status):
         annotation_server.plan = [(status, b"later"), (200, GOOD)]
@@ -334,6 +348,104 @@ class TestRemoteProvider:
     def test_retries_must_be_positive(self):
         with pytest.raises(ValueError):
             RemoteProvider("http://example.invalid/", retries=0)
+
+    def test_in_flight_must_be_positive(self):
+        with pytest.raises(ValueError, match="in_flight"):
+            RemoteProvider("http://example.invalid/", in_flight=0)
+
+
+def topic(name: str) -> list[Entity]:
+    return [Entity(category="Topic", name=name)]
+
+
+class TestAnnotateTexts:
+    def test_results_come_back_in_input_order(self, fanout_server):
+        fanout_server.hold = 4
+        provider = RemoteProvider(fanout_server.endpoint, in_flight=4)
+        texts = [f"text {i}" for i in range(8)]
+        assert annotate_texts(provider, texts) == [topic(text) for text in texts]
+        assert fanout_server.max_open == 4
+
+    @pytest.mark.parametrize("in_flight, workers, bound", [
+        (2, None, 2), (4, 3, 3), (2, 8, 2), (4, 1, 1)])
+    def test_requests_in_flight_never_exceed_the_bound(self, fanout_server,
+                                                       in_flight, workers, bound):
+        # each request stays open until one more than the bound is open, or
+        # for 0.2 s, so every request the client may overlap is counted
+        fanout_server.hold, fanout_server.hold_s = bound + 1, 0.2
+        provider = RemoteProvider(fanout_server.endpoint, in_flight=in_flight)
+        texts = [f"text {i}" for i in range(bound * 2)]
+        assert annotate_texts(provider, texts, workers) == [topic(text) for text in texts]
+        assert fanout_server.max_open == bound
+        assert sum(fanout_server.seen.values()) == len(texts)
+
+    def test_refused_text_is_an_error_and_the_others_succeed(self, fanout_server):
+        provider = RemoteProvider(fanout_server.endpoint, retries=3, backoff=0.001)
+        first, refused, last = annotate_texts(provider, ["alpha", "missing beta", "gamma"])
+        assert (first, last) == (topic("alpha"), topic("gamma"))
+        assert isinstance(refused, ProviderUnavailable)
+        assert "HTTP 404" in str(refused)
+        assert fanout_server.seen["missing beta"] == 1  # a 404 is not retried
+
+    def test_transient_failures_are_retried_per_text(self, fanout_server):
+        fanout_server.fail_first = True
+        provider = RemoteProvider(fanout_server.endpoint, backoff=0.001)
+        texts = [f"text {i}" for i in range(6)]
+        assert annotate_texts(provider, texts) == [topic(text) for text in texts]
+        assert all(fanout_server.seen[text] == 2 for text in texts)
+
+    def test_stored_errors_keep_class_and_message_only(self, fanout_server):
+        remote = RemoteProvider(fanout_server.endpoint)
+        refused, = annotate_texts(remote, ["missing"])
+        replay = ReplayProvider({text_key("bad"): {"entities": "nope"}})
+        absent, garbled = annotate_texts(replay, ["absent", "bad"])
+        assert type(refused) is ProviderUnavailable
+        assert type(absent) is ProviderUnavailable
+        assert type(garbled) is ProviderProtocol
+        assert "no recorded response" in str(absent)
+        assert "'entities' is not a list" in str(garbled)
+        for error in (refused, absent, garbled):
+            assert error.__traceback__ is None
+            assert error.__cause__ is None and error.__context__ is None
+
+    def test_local_providers_run_in_the_calling_thread_in_order(self, gazetteer_provider):
+        calls = []
+
+        class Recording:
+            provider_id = "recording"
+
+            def annotate(self, text):
+                calls.append((text, threading.get_ident()))
+                return gazetteer_provider.annotate(text)
+
+        texts = ["web search here", "nothing", "semantic ranking"]
+        found = annotate_texts(Recording(), texts, workers=4)
+        assert found == [gazetteer_provider.annotate(text) for text in texts]
+        assert calls == [(text, threading.get_ident()) for text in texts]
+
+    def test_unexpected_exceptions_propagate(self, fanout_server):
+        class Broken(RemoteProvider):
+            def annotate(self, text):
+                if text == "boom":
+                    raise RuntimeError("provider bug")
+                return super().annotate(text)
+
+        provider = Broken(fanout_server.endpoint, in_flight=2)
+        with pytest.raises(RuntimeError, match="provider bug"):
+            annotate_texts(provider, ["a", "boom", "c", "d"])
+
+        class LocalBroken:
+            provider_id = "broken"
+
+            def annotate(self, text):
+                raise KeyError(text)
+
+        with pytest.raises(KeyError):
+            annotate_texts(LocalBroken(), ["a"])
+
+    def test_no_texts_makes_no_requests(self, fanout_server):
+        assert annotate_texts(RemoteProvider(fanout_server.endpoint), []) == []
+        assert not fanout_server.seen
 
 
 class TestAnnotationScore:

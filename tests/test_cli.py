@@ -8,6 +8,18 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+import segscore.pipeline
+from segscore import (
+    Query,
+    ScoreConfig,
+    SegmentationConfig,
+    Vmwt,
+    load_profile,
+    parse_html,
+    score_page,
+    score_report_html,
+    segment_page,
+)
 from segscore.cli import ENDPOINT_ENV, EXIT_FAILURE, EXIT_OK, main
 
 from conftest import CORPUS_DIR, DATA_DIR, TINY_DIR
@@ -134,6 +146,26 @@ class TestScoreCommand:
         assert code == EXIT_OK
         assert out.startswith("<!doctype html>")
         assert "Page score" in out
+
+    def test_html_report_segments_the_page_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counting_segment_page(dom, config):
+            calls.append(config)
+            return segment_page(dom, config)
+
+        monkeypatch.setattr(segscore.pipeline, "segment_page", counting_segment_page)
+        code, out, err = run(capsys, "score", T3, "--query", "web search engines",
+                             "--profile", PROFILE, "--vmwt", VMWT, "--format", "html")
+        assert code == EXIT_OK, err
+        assert len(calls) == 1
+        vmwt = Vmwt.from_file(VMWT)
+        html = (TINY_DIR / "t3_visual.html").read_bytes()
+        report = score_page(html, T3, Query.parse("web search engines"),
+                            load_profile(PROFILE), ScoreConfig(vmwt=vmwt))
+        segments = segment_page(parse_html(html),
+                                SegmentationConfig(visual_tags=frozenset(vmwt.tag_weights)))
+        assert out == score_report_html(report, segments)
 
     def test_snapshot_store_round_trip(self, capsys, tmp_path):
         store = tmp_path / "snaps"

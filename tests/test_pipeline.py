@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
+import segscore.stores
 from segscore import (
     DimensionScores,
     EmptyPage,
     EmptySession,
     Profile,
     Query,
+    RemoteProvider,
     ReplayProvider,
     ScoreConfig,
     SegmentScoreRecord,
@@ -20,6 +23,8 @@ from segscore import (
     compute_session_stats,
     reference_table_checks,
     score_page,
+    parse_html,
+    segment_page,
     session_stats_csv,
     text_key,
 )
@@ -97,6 +102,67 @@ class TestScorePage:
         assert report.flags == ["annotations disabled: no provider configured"]
 
 
+class TestRemoteAnnotation:
+    PAGE = ("<html><head><title>Notes</title></head><body>"
+            + "".join(f"<div>web search notes block {i} on semantic ranking</div>"
+                      for i in range(6))
+            + "<div> </div></body></html>")
+
+    def test_retried_requests_give_the_same_report_at_any_worker_count(
+            self, fanout_server, query, profile):
+        fanout_server.fail_first = True  # every text: one 503, then 200
+        provider = RemoteProvider(fanout_server.endpoint, backoff=0.001)
+        reports = []
+        for workers in (1, None):
+            fanout_server.seen.clear()
+            reports.append(score_page(self.PAGE, "u", query, profile,
+                                      ScoreConfig(provider=provider, workers=workers)))
+        serial, fanned = reports
+        assert serial.to_json_dict() == fanned.to_json_dict()
+        assert serial.flags == []
+        assert all(rec.annotation > 0 for rec in serial.segment_records)
+        assert [rec.entities for rec in serial.segment_records] == [
+            rec.entities for rec in fanned.segment_records]
+
+    def test_refused_segments_are_flagged_in_segment_order(self, fanout_server, query,
+                                                          profile):
+        page = ("<html><body>" + "".join(
+            f"<div>{word} block {i} holding ten plain filler tokens in here</div>"
+            for i, word in enumerate(["web", "missing", "web", "missing"]))
+            + "</body></html>")
+        provider = RemoteProvider(fanout_server.endpoint, in_flight=4)
+        report = score_page(page, "u", query, profile, ScoreConfig(provider=provider))
+        assert [flag.split(":")[0] for flag in report.flags] == [
+            "annotation provider unavailable for segment 1",
+            "annotation provider unavailable for segment 3"]
+        assert [rec.annotation > 0 for rec in report.segment_records] == [
+            True, False, True, False]
+
+    def test_unexpected_provider_errors_propagate(self, query, profile):
+        class Broken:
+            provider_id = "broken"
+
+            def annotate(self, text):
+                raise RuntimeError("provider bug")
+
+        with pytest.raises(RuntimeError, match="provider bug"):
+            score_page(TWO_BLOCK, "u", query, profile, ScoreConfig(provider=Broken()))
+
+
+class TestKeptSegments:
+    def test_segments_are_kept_only_on_request(self, query, profile):
+        plain = score_page(TWO_BLOCK, "u", query, profile)
+        kept = score_page(TWO_BLOCK, "u", query, profile, ScoreConfig(keep_segments=True))
+        assert plain.segments == []
+        assert kept.segments == segment_page(parse_html(TWO_BLOCK), ScoreConfig().segmentation)
+        assert [seg.id for seg in kept.segments] == [
+            rec.segment_id for rec in kept.segment_records]
+        # neither compared, shown nor serialized
+        assert kept == plain
+        assert repr(kept) == repr(plain)
+        assert kept.to_json_dict() == plain.to_json_dict()
+
+
 class TestDegradation:
     def test_unavailable_provider_zeroes_annotations_and_flags(self, query, profile):
         report = score_page(TWO_BLOCK, "u", query, profile,
@@ -158,6 +224,19 @@ class TestFreshnessAcrossVisits:
         report = score_page(replaced, url, query, profile, cfg)
         assert self.freshness_of(report) == [10.0]
 
+    def test_scoring_writes_snapshots_without_building_paths(self, tmp_path, query,
+                                                            profile, monkeypatch):
+        def no_path(*args):
+            raise AssertionError("score_page built a pathlib.Path")
+
+        monkeypatch.setattr(segscore.stores, "Path", no_path)
+        cfg = ScoreConfig(snapshot_store=SnapshotStore(str(tmp_path)))
+        score_page(stable_page(), "http://site/page", query, profile, cfg)
+        report = score_page(stable_page(" web"), "http://site/page", query, profile, cfg)
+        assert self.freshness_of(report) == [0.0, 1.0]
+        directory, = os.listdir(tmp_path)
+        assert len(os.listdir(tmp_path / directory)) == 2
+
     def test_write_can_be_disabled(self, tmp_path, query, profile):
         cfg = ScoreConfig(snapshot_store=SnapshotStore(tmp_path),
                           write_snapshot=False)
@@ -215,6 +294,16 @@ class TestSessionStats:
         with pytest.raises(EmptySession):
             compute_session_stats([])
 
+    def test_sums_run_left_to_right_on_every_interpreter(self):
+        # left to right these sums are 0.9999999999999999 and 0.0; the
+        # compensated builtin sum() of Python 3.12+ gives 1.0 and 1.0
+        tenths = compute_session_stats([report_with(*[rec(0.1, 0.1)] * 10)])
+        assert tenths.msss == 0.9999999999999999 / 10
+        assert tenths.mcas == 0.9999999999999999 / 10
+        cancelled = compute_session_stats([report_with(rec(1e16, 0.0), rec(1.0, 0.0)),
+                                           report_with(rec(-1e16, 0.0))])
+        assert cancelled.msss == 0.0
+
     def test_csv_shape(self):
         text = session_stats_csv([SessionStats("s1", 1.5, 3.0, 4.0)])
         assert text == "session_id,msc,msss,mcas\ns1,1.5,3.0,4.0\n"
@@ -256,3 +345,9 @@ class TestReferenceChecks:
     def test_no_stats_raises(self):
         with pytest.raises(EmptySession):
             reference_table_checks([])
+
+    def test_means_sum_left_to_right_on_every_interpreter(self):
+        checks = reference_table_checks(
+            [SessionStats(str(i), 1.0, 0.1, 0.075) for i in range(10)])
+        assert checks.msss_mean == 0.9999999999999999 / 10
+        assert checks.mcas_mean == 0.7499999999999999 / 10  # compensated: 0.75 / 10
