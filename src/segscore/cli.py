@@ -48,6 +48,7 @@ EXIT_FAILURE = 2
 
 ENDPOINT_ENV = "SEGSCORE_ENDPOINT"
 FETCH_TIMEOUT = 30.0
+FETCH_MAX_BYTES = 64 * 1024 * 1024  # larger HTTP bodies are refused, not read
 
 
 class CliError(Exception):
@@ -58,9 +59,12 @@ def _read_input(source: str) -> bytes:
     if source.startswith(("http://", "https://")):
         try:
             with urlopen(source, timeout=FETCH_TIMEOUT) as response:
-                return response.read()
+                body = response.read(FETCH_MAX_BYTES + 1)
         except (URLError, OSError) as exc:
             raise CliError(f"cannot fetch {source}: {exc}") from exc
+        if len(body) > FETCH_MAX_BYTES:
+            raise CliError(f"cannot fetch {source}: body exceeds {FETCH_MAX_BYTES} bytes")
+        return body
     try:
         return Path(source).read_bytes()
     except OSError as exc:

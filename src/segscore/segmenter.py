@@ -202,44 +202,78 @@ class _Candidate:
         return self._tokens
 
 
-def _contains_block(elem: DomNode, block_tags: frozenset[str]) -> bool:
-    stack = list(elem.children)
+def _contains_block(elem: DomNode, block_tags: frozenset[str], memo: dict[int, bool]) -> bool:
+    """Whether elem has a block-tag descendant outside script/style.
+
+    memo maps id(element) to the answer for every element a walk has
+    settled: when a block turns up, every element on the way down to it
+    holds one too; an element left without finding one holds none.  So
+    nested wrappers are walked once per page, not once per level.
+    """
+    # The common shallow case, an element holding text and leaves only
+    # (an <a> or <b> around text), is settled without the memo.
+    for child in elem.children:
+        if child.tag in block_tags:
+            return True
+        if child.children and child.tag not in RAW_TEXT_TAGS:
+            break
+    else:
+        return False
+    known = memo.get(id(elem))
+    if known is not None:
+        return known
+    path = [elem]  # entered and not yet left
+    stack: list = [None, *elem.children]
     while stack:
         node = stack.pop()
-        if node.is_text:
-            continue
-        if node.tag in block_tags:
+        if node is None:  # leaving path[-1] without having met a block
+            memo[id(path.pop())] = False
+        elif node.tag in block_tags or memo.get(id(node)):
+            for open_elem in path:
+                memo[id(open_elem)] = True
             return True
-        if node.tag not in RAW_TEXT_TAGS:
+        elif (node.children and node.tag != TEXT_TAG and node.tag not in RAW_TEXT_TAGS
+              and id(node) not in memo):
+            path.append(node)
+            stack.append(None)
             stack.extend(node.children)
     return False
 
 
-def _iter_units(elem: DomNode, path: tuple[int, ...], block_tags: frozenset[str]):
+def _iter_units(
+    elem: DomNode, path: tuple[int, ...], block_tags: frozenset[str], memo: dict[int, bool]
+):
     """Yield ("block"|"loose", path, node) over elem's content in document order.
 
     Non-block wrappers that contain block descendants are descended
-    through; everything else is yielded as a loose unit.
+    through; everything else is yielded as a loose unit.  memo is the
+    page's _contains_block memo.  Paths are built only for yielded
+    units, so wrappers nested d deep cost O(d), not O(d**2).
     """
-    stack = [(elem, path, 0)]
+    prefix = list(path)  # path of the element being walked
+    stack = [(elem, 0)]
     while stack:
-        parent, ppath, i = stack.pop()
-        while i < len(parent.children):
-            child = parent.children[i]
-            cpath = ppath + (i,)
-            i += 1
+        parent, i = stack.pop()
+        children = parent.children
+        while i < len(children):
+            child = children[i]
             if not child.is_text and child.tag in block_tags:
-                yield ("block", cpath, child)
+                yield ("block", (*prefix, i), child)
             elif (
                 not child.is_text
                 and child.tag not in RAW_TEXT_TAGS
-                and _contains_block(child, block_tags)
+                and _contains_block(child, block_tags, memo)
             ):
-                stack.append((parent, ppath, i))
-                stack.append((child, cpath, 0))
+                stack.append((parent, i + 1))
+                stack.append((child, 0))
+                prefix.append(i)
                 break
             else:
-                yield ("loose", cpath, child)
+                yield ("loose", (*prefix, i), child)
+            i += 1
+        else:
+            if stack:  # back from a wrapper to its parent
+                prefix.pop()
 
 
 def _run_matters(run: list[tuple[tuple[int, ...], DomNode]]) -> bool:
@@ -251,8 +285,13 @@ def _run_matters(run: list[tuple[tuple[int, ...], DomNode]]) -> bool:
 
 
 def _group_candidates(
-    elem: DomNode, path: tuple[int, ...], block_tags: frozenset[str]
+    elem: DomNode,
+    path: tuple[int, ...],
+    block_tags: frozenset[str],
+    memo: dict[int, bool] | None = None,
 ) -> list[_Candidate]:
+    if memo is None:
+        memo = {}
     cands: list[_Candidate] = []
     run: list[tuple[tuple[int, ...], DomNode]] = []
 
@@ -261,7 +300,7 @@ def _group_candidates(
             cands.append(_Candidate(list(run), is_block=False))
         run.clear()
 
-    for kind, cpath, node in _iter_units(elem, path, block_tags):
+    for kind, cpath, node in _iter_units(elem, path, block_tags, memo):
         if kind == "block":
             flush()
             cands.append(_Candidate([(cpath, node)], is_block=True))
@@ -274,12 +313,14 @@ def _group_candidates(
 # ── partition rules ─────────────────────────────────────────────────
 
 
-def _split(cand: _Candidate, cfg: SegmentationConfig) -> list[_Candidate] | None:
+def _split(
+    cand: _Candidate, cfg: SegmentationConfig, memo: dict[int, bool]
+) -> list[_Candidate] | None:
     """Sub-candidates when the recursion rule fires, else None."""
     if not cand.is_block or len(cand.tokens) <= cfg.max_tokens:
         return None
     path, elem = cand.nodes[0]
-    subs = _group_candidates(elem, path, cfg.block_tags)
+    subs = _group_candidates(elem, path, cfg.block_tags, memo)
     if len(subs) < 2 or not any(s.is_block for s in subs):
         return None
     densities = [_density_of(s.text, s.tokens) for s in subs]
@@ -288,12 +329,14 @@ def _split(cand: _Candidate, cfg: SegmentationConfig) -> list[_Candidate] | None
     return subs
 
 
-def _partitioned(cands: list[_Candidate], cfg: SegmentationConfig) -> list[_Candidate]:
+def _partitioned(
+    cands: list[_Candidate], cfg: SegmentationConfig, memo: dict[int, bool]
+) -> list[_Candidate]:
     out: list[_Candidate] = []
     stack = list(reversed(cands))
     while stack:
         cand = stack.pop()
-        subs = _split(cand, cfg)
+        subs = _split(cand, cfg, memo)
         if subs is None:
             out.append(cand)
         else:
@@ -406,13 +449,14 @@ def segment_page(dom: DomNode, cfg: SegmentationConfig | None = None) -> list[Se
     cfg = cfg or SegmentationConfig()
     body = body_of(dom)
     bpath: tuple[int, ...] = () if body is dom else (dom.children.index(body),)
-    top = _group_candidates(body, bpath, cfg.block_tags)
+    memo: dict[int, bool] = {}  # shared by every _contains_block call on this tree
+    top = _group_candidates(body, bpath, cfg.block_tags, memo)
     # the candidates hold every visible text node but whitespace-only runs
     if not any(cand.text.strip() for cand in top):
         raise EmptyPage("page body has no visible text")
 
     groups: list[list[_Candidate]] = []
-    for cand in _partitioned(top, cfg):
+    for cand in _partitioned(top, cfg, memo):
         if groups and len(cand.tokens) < cfg.min_tokens:
             groups[-1].append(cand)  # short candidate joins its predecessor
         else:

@@ -187,7 +187,7 @@ class SnapshotStore:
         name = f"{utc.year:04d}{utc:%m%dT%H%M%S_%f}.json"
         latest = self._latest_name(directory, record.url)
         if latest is not None and name <= latest:
-            prior = _read_record(os.path.join(directory, latest))
+            prior = _read_record(os.path.join(directory, latest), record.url)
             raise StorageFailure(
                 f"snapshot timestamps must increase: {record.captured_at.isoformat()} "
                 f"is not after {prior.captured_at.isoformat()}"
@@ -214,7 +214,7 @@ class SnapshotStore:
         """Most recent capture of the URL, or None on first visit."""
         directory = self._dir_for(url)
         latest = self._latest_name(directory, url)
-        return None if latest is None else _read_record(os.path.join(directory, latest))
+        return None if latest is None else _read_record(os.path.join(directory, latest), url)
 
 
 def _snapshot_json(record: SnapshotRecord) -> str:
@@ -242,10 +242,14 @@ def _snapshot_json(record: SnapshotRecord) -> str:
             + ',\n  "v": 1\n}')
 
 
-def _read_record(path: str) -> SnapshotRecord:
+def _read_record(path: str, url: str) -> SnapshotRecord:
+    """Load one snapshot file, which must be a capture of url: directories
+    are named by a 64-bit hash prefix, so two URLs may share one."""
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
+        if data["url"] != url:
+            raise StorageFailure(f"snapshot {path} is of {data['url']!r}, not of {url!r}")
         return SnapshotRecord(
             url=data["url"],
             captured_at=datetime.fromisoformat(data["captured_at"]),

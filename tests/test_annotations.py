@@ -256,7 +256,7 @@ def annotation_server():
     server = http.server.HTTPServer(("127.0.0.1", 0), _Handler)
     server.requests = []
     server.plan = [(200, b'{"entities": []}')]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     yield server
     server.shutdown()

@@ -101,6 +101,50 @@ class TestSegmentCommand:
             assert len(payload["segments"]) == 2
         finally:
             server.shutdown()
+            server.server_close()
+            thread.join()
+
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_http_body_over_the_byte_cap_fails(self, capsys, monkeypatch, chunked):
+        page = (TINY_DIR / "t1_links.html").read_bytes()
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def do_GET(self):
+                self.send_response(200)
+                self.send_header("Content-Type", "text/html; charset=utf-8")
+                if chunked:  # no Content-Length: only the cap stops the read
+                    self.send_header("Transfer-Encoding", "chunked")
+                    self.end_headers()
+                    for i in range(0, len(page), 64):
+                        piece = page[i:i + 64]
+                        self.wfile.write(b"%x\r\n%s\r\n" % (len(piece), piece))
+                    self.wfile.write(b"0\r\n\r\n")
+                else:
+                    self.send_header("Content-Length", str(len(page)))
+                    self.end_headers()
+                    self.wfile.write(page)
+
+            def log_message(self, *args):
+                pass
+
+        server = HTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+        thread.start()
+        try:
+            url = f"http://127.0.0.1:{server.server_address[1]}/page.html"
+            monkeypatch.setattr("segscore.cli.FETCH_MAX_BYTES", len(page))
+            assert len(run_json(capsys, "segment", url)["segments"]) == 2
+            monkeypatch.setattr("segscore.cli.FETCH_MAX_BYTES", len(page) - 1)
+            code, out, err = run(capsys, "segment", url)
+            assert code == EXIT_FAILURE and out == ""
+            assert err.startswith("segscore: cannot fetch")
+            assert f"exceeds {len(page) - 1} bytes" in err
+            assert err.count("\n") == 1
+        finally:
+            server.shutdown()
+            server.server_close()
             thread.join()
 
     def test_unreachable_url_fails(self, capsys):

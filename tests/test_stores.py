@@ -253,6 +253,19 @@ class TestSnapshotStore:
         with pytest.raises(StorageFailure):
             store.latest_snapshot("http://a/")
 
+    def test_another_urls_record_in_the_directory_is_a_storage_failure(self, tmp_path):
+        # directories are named by a 64-bit hash prefix, so a colliding URL
+        # lands in the same one; its record must not pass for this URL's
+        store = SnapshotStore(tmp_path)
+        directory = store.put_snapshot(record("http://a/", T0, [["web"]])).parent
+        planted = record("http://b/", T0 + timedelta(seconds=1), [["data"]])
+        (directory / "20260101T120001_000000.json").write_text(_snapshot_json(planted), "utf-8")
+        with pytest.raises(StorageFailure, match="http://b/") as failure:
+            store.latest_snapshot("http://a/")
+        assert "\n" not in str(failure.value)
+        with pytest.raises(StorageFailure, match="http://b/"):
+            store.put_snapshot(record("http://a/", T0, [["web"]]))
+
 
 class TestTokenJaccard:
     def test_reference_values(self):
