@@ -255,18 +255,6 @@ class _TreeBuilder(HTMLParser):
         else:
             children.append(DomNode(TEXT_TAG, text=data))
 
-    def handle_comment(self, data):
-        pass
-
-    def handle_decl(self, decl):
-        pass
-
-    def handle_pi(self, data):
-        pass
-
-    def unknown_decl(self, data):
-        pass
-
 
 # ── the one-pass scanner ────────────────────────────────────────────
 

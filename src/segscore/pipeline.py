@@ -10,6 +10,7 @@ freshness relative to the previous visit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from functools import reduce
@@ -99,27 +100,43 @@ class PageReport:
         }
 
 
+def _score(value: object, what: str) -> float:
+    # a bool is an int to Python but not a JSON number; a huge int overflows
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        number = float(value)
+        if math.isfinite(number):
+            return number
+    raise TypeError(f"{what} must be a finite number, got {value!r}")
+
+
+def _record_from_json(seg: dict) -> SegmentScoreRecord:
+    dims = seg["dimensions"]
+    if not isinstance(dims, dict):
+        raise TypeError(f"dimensions must be an object, got {dims!r}")
+    return SegmentScoreRecord(
+        segment_id=seg["segment_id"],
+        dimensions=DimensionScores(**{name: _score(value, name) for name, value in dims.items()}),
+        delta=_score(seg["delta"], "delta"),
+        annotation=_score(seg["annotation"], "annotation"),
+        total=_score(seg["total"], "total"),
+    )
+
+
 def page_report_from_json(data: dict) -> PageReport:
-    """Rebuild a PageReport from its serialized form."""
+    """Rebuild a PageReport from its serialized form.
+
+    Every score must be a finite JSON number, so no later sum meets a
+    string, a null or a NaN; anything else raises ValueError.
+    """
     try:
-        records = [
-            SegmentScoreRecord(
-                segment_id=seg["segment_id"],
-                dimensions=DimensionScores(**seg["dimensions"]),
-                delta=seg["delta"],
-                annotation=seg["annotation"],
-                total=seg["total"],
-            )
-            for seg in data["segments"]
-        ]
         return PageReport(
             url=data["url"],
             query=data["query"],
-            segment_records=records,
-            page_score=data["page_score"],
+            segment_records=[_record_from_json(seg) for seg in data["segments"]],
+            page_score=_score(data["page_score"], "page_score"),
             flags=list(data.get("flags", [])),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"not a page report: {exc}") from exc
 
 

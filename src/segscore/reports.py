@@ -170,7 +170,6 @@ def score_report_html(report: PageReport, segments: list[Segment]) -> str:
         parts.append(f'<div class="flag">{_esc_text(flag)}</div>')
     for rec in report.segment_records:
         cls = _quantile_class(rec.total, sorted_totals)
-        dims = rec.dimensions
         parts.append(f'<section class="segment {cls}">')
         parts.append(
             f'<h2>Segment {rec.segment_id} '
@@ -182,13 +181,11 @@ def score_report_html(report: PageReport, segments: list[Segment]) -> str:
             if len(excerpt) > 400:
                 excerpt = excerpt[:400] + "…"
             parts.append(f'<div class="excerpt">{_esc_text(excerpt)}</div>')
+        cells = [*rec.dimensions.as_dict().items(),
+                 ("structural", rec.delta), ("annotation", rec.annotation)]
         parts.append(
-            "<table><tr><th>link</th><th>image</th><th>theme</th><th>visual</th>"
-            "<th>freshness</th><th>profile</th><th>structural</th><th>annotation</th></tr>"
-            f"<tr><td>{dims.link:.4f}</td><td>{dims.image:.4f}</td>"
-            f"<td>{dims.theme:.4f}</td><td>{dims.visual:.4f}</td>"
-            f"<td>{dims.freshness:.4f}</td><td>{dims.profile:.4f}</td>"
-            f"<td>{rec.delta:.4f}</td><td>{rec.annotation:.4f}</td></tr></table>"
+            "<table><tr>" + "".join(f"<th>{name}</th>" for name, _ in cells) + "</tr>"
+            "<tr>" + "".join(f"<td>{value:.4f}</td>" for _, value in cells) + "</tr></table>"
         )
         if rec.entities:
             parts.append('<ul class="entities">')

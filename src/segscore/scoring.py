@@ -12,6 +12,8 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add, attrgetter, mul
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
@@ -41,6 +43,9 @@ DEFAULT_VMWT: dict[str, float] = {
 }
 
 DIMENSIONS = ("link", "image", "theme", "visual", "freshness", "profile")
+
+# the six values of a DimensionScores or DimensionCoefficients, in DIMENSIONS order
+_dimension_values = attrgetter(*DIMENSIONS)
 
 
 # Reads integers as floats, so one too large for a float becomes inf.
@@ -88,11 +93,7 @@ class DimensionScores:
     profile: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "link": self.link, "image": self.image, "theme": self.theme,
-            "visual": self.visual, "freshness": self.freshness,
-            "profile": self.profile,
-        }
+        return dict(zip(DIMENSIONS, _dimension_values(self)))
 
 
 @dataclass(frozen=True)
@@ -200,12 +201,7 @@ def structural_score(
         freshness=score_freshness(segment, prior_tokens, fused),
         profile=score_profile(segment, profile_terms),
     )
-    delta = (
-        coeffs.link * dims.link
-        + coeffs.image * dims.image
-        + coeffs.theme * dims.theme
-        + coeffs.visual * dims.visual
-        + coeffs.freshness * dims.freshness
-        + coeffs.profile * dims.profile
-    )
+    # left to right from the first product: a sum started from 0.0 would
+    # turn a -0.0 sum into 0.0
+    delta = reduce(add, map(mul, _dimension_values(coeffs), _dimension_values(dims)))
     return dims, delta

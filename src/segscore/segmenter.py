@@ -8,6 +8,11 @@ are recursively re-partitioned; undersized candidates are merged into
 their predecessor; whatever remains becomes the segment list, covering
 every visible text node exactly once.
 
+Each candidate's nodes are walked once, when the candidate is made.
+That walk tokenizes every visible text node once and gathers the text,
+tokens, links, images and visual spans; a segment only joins what its
+candidates gathered.
+
 Inline wrappers that contain block elements (for example a link around
 a card ``<a><div>…</div></a>``) are descended through so the inner
 blocks become candidates; the wrapper's own link or visual span is then
@@ -159,47 +164,64 @@ def token_fingerprint(tokens: TermVector) -> int:
 
 
 class _Candidate:
-    """Top nodes of one candidate; its text is walked and tokenized once,
-    on first use."""
+    """Top nodes of one candidate and what one walk over them gathers.
 
-    __slots__ = ("nodes", "is_block", "_text", "_tokens", "_has_text")
+    The walk tokenizes each visible text node once.  ``tokens`` equals
+    tokenizing the "\n"-joined ``text``, because "\n" never joins or
+    splits a token; an <a> or visual element takes the slice of
+    ``tokens`` met between entering and leaving it, however deeply such
+    elements nest.  ``has_text`` says whether any visible text node,
+    even an empty one, lies under the candidate.
+    """
 
-    def __init__(self, nodes: list[tuple[tuple[int, ...], DomNode]], is_block: bool):
+    __slots__ = ("nodes", "is_block", "text", "has_text", "tokens", "links", "images", "spans")
+
+    def __init__(
+        self,
+        nodes: list[tuple[tuple[int, ...], DomNode]],
+        is_block: bool,
+        visual_tags: frozenset[str],
+    ):
         self.nodes = nodes
         self.is_block = is_block
-        self._text: str | None = None
-
-    def _walk(self) -> None:
         pieces: list[str] = []
-        stack = [node for _, node in reversed(self.nodes)]
+        tokens: TermVector = []
+        links: list[tuple[TermVector, TermVector]] = []
+        images: list[tuple[TermVector, TermVector, TermVector]] = []
+        spans: list[tuple[str, TermVector]] = []
+        stack: list = [node for _, node in reversed(nodes)]
         while stack:
             cur = stack.pop()
-            if cur.tag == TEXT_TAG:
+            if type(cur) is tuple:  # leaving an <a> or visual element
+                out, at, start = cur
+                if out is links:
+                    links[at] = (tokens[start:], links[at][1])
+                else:
+                    spans[at] = (spans[at][0], tokens[start:])
+                continue
+            tag = cur.tag
+            if tag == TEXT_TAG:
                 pieces.append(cur.text)
-            elif cur.tag not in RAW_TEXT_TAGS:
-                stack.extend(reversed(cur.children))
-        self._has_text = bool(pieces)
-        self._text = "\n".join(pieces)
-        self._tokens = tokenize(self._text)
-
-    @property
-    def has_text(self) -> bool:
-        """Whether any visible text node, even an empty one, lies under it."""
-        if self._text is None:
-            self._walk()
-        return self._has_text
-
-    @property
-    def text(self) -> str:
-        if self._text is None:
-            self._walk()
-        return self._text
-
-    @property
-    def tokens(self) -> TermVector:
-        if self._text is None:
-            self._walk()
-        return self._tokens
+                tokens += tokenize(cur.text)
+                continue
+            if tag in RAW_TEXT_TAGS:
+                continue
+            if tag == "a":
+                stack.append((links, len(links), len(tokens)))
+                links.append(([], _href_tokens(cur.attrs.get("href", ""))))
+            elif tag == "img":
+                images.append((
+                    tokenize(cur.attrs.get("alt", "")),
+                    tokenize(cur.attrs.get("title", "")),
+                    _src_filename_tokens(cur.attrs.get("src", "")),
+                ))
+            if tag in visual_tags:
+                stack.append((spans, len(spans), len(tokens)))
+                spans.append((tag, []))
+            stack.extend(reversed(cur.children))
+        self.has_text = bool(pieces)
+        self.text = "\n".join(pieces)
+        self.tokens, self.links, self.images, self.spans = tokens, links, images, spans
 
 
 def _contains_block(elem: DomNode, block_tags: frozenset[str], memo: dict[int, bool]) -> bool:
@@ -289,6 +311,7 @@ def _group_candidates(
     path: tuple[int, ...],
     block_tags: frozenset[str],
     memo: dict[int, bool] | None = None,
+    visual_tags: frozenset[str] = DEFAULT_VISUAL_TAGS,
 ) -> list[_Candidate]:
     if memo is None:
         memo = {}
@@ -297,13 +320,13 @@ def _group_candidates(
 
     def flush() -> None:
         if run and _run_matters(run):
-            cands.append(_Candidate(list(run), is_block=False))
+            cands.append(_Candidate(list(run), False, visual_tags))
         run.clear()
 
     for kind, cpath, node in _iter_units(elem, path, block_tags, memo):
         if kind == "block":
             flush()
-            cands.append(_Candidate([(cpath, node)], is_block=True))
+            cands.append(_Candidate([(cpath, node)], True, visual_tags))
         else:
             run.append((cpath, node))
     flush()
@@ -314,13 +337,13 @@ def _group_candidates(
 
 
 def _split(
-    cand: _Candidate, cfg: SegmentationConfig, memo: dict[int, bool]
+    cand: _Candidate, cfg: SegmentationConfig, memo: dict[int, bool], visual_tags: frozenset[str]
 ) -> list[_Candidate] | None:
     """Sub-candidates when the recursion rule fires, else None."""
     if not cand.is_block or len(cand.tokens) <= cfg.max_tokens:
         return None
     path, elem = cand.nodes[0]
-    subs = _group_candidates(elem, path, cfg.block_tags, memo)
+    subs = _group_candidates(elem, path, cfg.block_tags, memo, visual_tags)
     if len(subs) < 2 or not any(s.is_block for s in subs):
         return None
     densities = [_density_of(s.text, s.tokens) for s in subs]
@@ -330,13 +353,16 @@ def _split(
 
 
 def _partitioned(
-    cands: list[_Candidate], cfg: SegmentationConfig, memo: dict[int, bool]
+    cands: list[_Candidate],
+    cfg: SegmentationConfig,
+    memo: dict[int, bool],
+    visual_tags: frozenset[str],
 ) -> list[_Candidate]:
     out: list[_Candidate] = []
     stack = list(reversed(cands))
     while stack:
         cand = stack.pop()
-        subs = _split(cand, cfg, memo)
+        subs = _split(cand, cfg, memo, visual_tags)
         if subs is None:
             out.append(cand)
         else:
@@ -363,68 +389,22 @@ def _src_filename_tokens(src: str) -> TermVector:
     return tokenize(path.rsplit("/", 1)[-1])
 
 
-def _collect_features(
-    node: DomNode,
-    links: list,
-    images: list,
-    spans: list,
-    visual_tags: frozenset[str],
-) -> None:
-    """Append the subtree's links, images and visual spans in document order.
-
-    One walk: the tokens of an <a> or visual element are those of the text
-    nodes met between entering and leaving it.  Each text node inside such
-    an element is tokenized once, however deeply the elements nest; this
-    equals tokenizing the element's "\n"-joined text, because "\n" never
-    joins or splits a token.
-    """
-    tokens: list[str] = []  # of the text nodes inside an open <a> or span
-    open_elements = 0
-    stack: list = [node]
-    while stack:
-        cur = stack.pop()
-        if type(cur) is tuple:  # leaving an <a> or visual element
-            out, at, start = cur
-            if out is links:
-                links[at] = (tokens[start:], links[at][1])
-            else:
-                spans[at] = (spans[at][0], tokens[start:])
-            open_elements -= 1
-            continue
-        if cur.tag == TEXT_TAG:
-            if open_elements:
-                tokens += tokenize(cur.text)
-            continue
-        if cur.tag in RAW_TEXT_TAGS:
-            continue
-        if cur.tag == "a":
-            stack.append((links, len(links), len(tokens)))
-            links.append(([], _href_tokens(cur.attrs.get("href", ""))))
-            open_elements += 1
-        if cur.tag == "img":
-            images.append((
-                tokenize(cur.attrs.get("alt", "")),
-                tokenize(cur.attrs.get("title", "")),
-                _src_filename_tokens(cur.attrs.get("src", "")),
-            ))
-        if cur.tag in visual_tags:
-            stack.append((spans, len(spans), len(tokens)))
-            spans.append((cur.tag, []))
-            open_elements += 1
-        stack.extend(reversed(cur.children))
-
-
-def _build_segment(seg_id: int, cands: list[_Candidate], visual_tags: frozenset[str]) -> Segment:
-    nodes = [entry for cand in cands for entry in cand.nodes]
-    # a full walk joins every text node with "\n"; a candidate without any
-    # contributes nothing, and "\n" never joins or splits a token
-    text = "\n".join([cand.text for cand in cands if cand.has_text])
-    tokens = list(chain.from_iterable(cand.tokens for cand in cands))
-    links: list[tuple[TermVector, TermVector]] = []
-    images: list[tuple[TermVector, TermVector, TermVector]] = []
-    spans: list[tuple[str, TermVector]] = []
-    for _, node in nodes:
-        _collect_features(node, links, images, spans, visual_tags)
+def _build_segment(seg_id: int, cands: list[_Candidate]) -> Segment:
+    """Join what the candidates gathered; a lone candidate's lists are
+    taken as they are, since nothing else holds them."""
+    if len(cands) == 1:
+        (cand,) = cands
+        nodes, text, tokens = cand.nodes, cand.text, cand.tokens
+        links, images, spans = cand.links, cand.images, cand.spans
+    else:
+        nodes = [entry for cand in cands for entry in cand.nodes]
+        # a full walk joins every text node with "\n"; a candidate without
+        # any contributes nothing, and "\n" never joins or splits a token
+        text = "\n".join([cand.text for cand in cands if cand.has_text])
+        tokens = list(chain.from_iterable(cand.tokens for cand in cands))
+        links = list(chain.from_iterable(cand.links for cand in cands))
+        images = list(chain.from_iterable(cand.images for cand in cands))
+        spans = list(chain.from_iterable(cand.spans for cand in cands))
     return Segment(
         id=seg_id,
         dom_path=nodes[0][0],
@@ -443,27 +423,28 @@ def segment_page(dom: DomNode, cfg: SegmentationConfig | None = None) -> list[Se
 
     Every visible text node under the body lands in exactly one segment,
     in document order.  Raises EmptyPage when the body has no visible
-    text at all.  Each candidate's text is walked and tokenized once,
-    and each segment's links, images and spans are gathered in one walk.
+    text at all.  Each candidate's nodes are walked once, when it is
+    made: that walk tokenizes every visible text node once and gathers
+    the text, tokens, links, images and visual spans that the partition
+    rules and the segments use.
     """
     cfg = cfg or SegmentationConfig()
+    visual = cfg.visual_tags if cfg.visual_tags is not None else DEFAULT_VISUAL_TAGS
     body = body_of(dom)
     bpath: tuple[int, ...] = () if body is dom else (dom.children.index(body),)
     memo: dict[int, bool] = {}  # shared by every _contains_block call on this tree
-    top = _group_candidates(body, bpath, cfg.block_tags, memo)
+    top = _group_candidates(body, bpath, cfg.block_tags, memo, visual)
     # the candidates hold every visible text node but whitespace-only runs
     if not any(cand.text.strip() for cand in top):
         raise EmptyPage("page body has no visible text")
 
     groups: list[list[_Candidate]] = []
-    for cand in _partitioned(top, cfg, memo):
+    for cand in _partitioned(top, cfg, memo, visual):
         if groups and len(cand.tokens) < cfg.min_tokens:
             groups[-1].append(cand)  # short candidate joins its predecessor
         else:
             groups.append([cand])
-
-    visual = cfg.visual_tags if cfg.visual_tags is not None else DEFAULT_VISUAL_TAGS
-    return [_build_segment(i, cands, visual) for i, cands in enumerate(groups)]
+    return [_build_segment(i, cands) for i, cands in enumerate(groups)]
 
 
 def segments_to_json(url: str, segments: list[Segment]) -> dict:

@@ -405,6 +405,26 @@ class TestSessionStatsCommand:
         assert code == EXIT_FAILURE
         assert "cannot load page report" in err
 
+    @pytest.mark.parametrize("field", ["delta", "link", "page_score"])
+    @pytest.mark.parametrize("value", ["x", None, True, float("nan")])
+    def test_mistyped_score_is_an_error(self, capsys, tmp_path, field, value):
+        reports = tmp_path / "reports"
+        self.make_reports(capsys, reports)
+        target = reports / "s1__a.json"
+        data = json.loads(target.read_text("utf-8"))
+        if field == "page_score":
+            data[field] = value
+        elif field == "link":
+            data["segments"][0]["dimensions"][field] = value
+        else:
+            data["segments"][0][field] = value
+        target.write_text(json.dumps(data), "utf-8")
+        code, out, err = run(capsys, "session-stats", str(reports))
+        assert code == EXIT_FAILURE
+        assert out == ""
+        assert f"cannot load page report {target}: not a page report: {field} must be" in err
+        assert "Traceback" not in err
+
 
 class TestTopLevel:
     def test_no_arguments_is_a_usage_error(self, capsys):

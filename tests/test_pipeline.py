@@ -264,6 +264,27 @@ class TestReportSerialization:
         with pytest.raises(ValueError):
             page_report_from_json({"nope": 1})
 
+    def test_integral_scores_are_read_as_floats(self, query, profile):
+        data = score_page(TWO_BLOCK, "u", query, profile).to_json_dict()
+        data["page_score"] = 3
+        data["segments"][0]["dimensions"]["link"] = 2
+        rebuilt = page_report_from_json(data)
+        assert rebuilt.page_score == 3.0 and type(rebuilt.page_score) is float
+        assert type(rebuilt.segment_records[0].dimensions.link) is float
+
+    @pytest.mark.parametrize("edit", [
+        lambda data: data.update(page_score=10 ** 400),
+        lambda data: data["segments"][0].update(total=float("inf")),
+        lambda data: data["segments"][0].update(dimensions=[1, 2]),
+        lambda data: data["segments"][0]["dimensions"].update(extra=1.0),
+        lambda data: data["segments"][0]["dimensions"].pop("theme"),
+    ])
+    def test_bad_scores_are_rejected(self, query, profile, edit):
+        data = score_page(TWO_BLOCK, "u", query, profile).to_json_dict()
+        edit(data)
+        with pytest.raises(ValueError, match="not a page report"):
+            page_report_from_json(data)
+
 
 def rec(delta: float, annotation: float) -> SegmentScoreRecord:
     return SegmentScoreRecord(

@@ -5,9 +5,12 @@ from __future__ import annotations
 import pytest
 
 from segscore import (
+    DimensionScores,
     Gazetteer,
     GazetteerProvider,
+    PageReport,
     ScoreConfig,
+    SegmentScoreRecord,
     body_of,
     parse_html,
     score_page,
@@ -165,3 +168,16 @@ class TestScoreReport:
         report, segments = self.make(query, profile, flags_page=True)
         out = score_report_html(report, segments)
         assert "annotations disabled: no provider configured" in out
+
+    def test_table_bytes_are_pinned(self):
+        dims = DimensionScores(link=1.0, image=2.0, theme=3.0, visual=4.0,
+                               freshness=5.0, profile=6.25)
+        rec = SegmentScoreRecord(segment_id=0, dimensions=dims, delta=21.25,
+                                 annotation=0.5, total=21.75)
+        report = PageReport(url="u", query="q", segment_records=[rec], page_score=21.75)
+        out = score_report_html(report, [])
+        assert ("<table><tr><th>link</th><th>image</th><th>theme</th><th>visual</th>"
+                "<th>freshness</th><th>profile</th><th>structural</th><th>annotation</th></tr>"
+                "<tr><td>1.0000</td><td>2.0000</td><td>3.0000</td><td>4.0000</td>"
+                "<td>5.0000</td><td>6.2500</td><td>21.2500</td><td>0.5000</td></tr></table>"
+                ) in out

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
@@ -171,6 +173,20 @@ class TestStructuralScore:
             seg, **self.args(DimensionCoefficients(link=2.0)))
         assert boosted == pytest.approx(base + dims.link)
 
+    def test_delta_is_the_written_out_left_to_right_sum(self):
+        coeffs = DimensionCoefficients(link=0.1, image=0.7, theme=1.3,
+                                       visual=0.3, freshness=2.9, profile=0.6)
+        dims, delta = structural_score(self.build(), **self.args(coeffs))
+        assert delta == (0.1 * dims.link + 0.7 * dims.image + 1.3 * dims.theme
+                         + 0.3 * dims.visual + 2.9 * dims.freshness + 0.6 * dims.profile)
+
+    def test_negative_zero_delta_keeps_its_sign(self):
+        # validation accepts -0.0; a sum started from 0.0 would lose the sign
+        zeros = DimensionCoefficients(link=-0.0, image=-0.0, theme=-0.0,
+                                      visual=-0.0, freshness=-0.0, profile=-0.0)
+        _, delta = structural_score(self.build(), **self.args(zeros))
+        assert math.copysign(1.0, delta) == -1.0
+
     def test_zero_coefficients_zero_the_sum_not_the_dimensions(self):
         zeros = DimensionCoefficients(link=0, image=0, theme=0,
                                       visual=0, freshness=0, profile=0)
@@ -182,6 +198,12 @@ class TestStructuralScore:
 class TestTables:
     def test_dimension_names_are_fixed(self):
         assert set(DimensionScores(0, 0, 0, 0, 0, 0).as_dict()) == set(DIMENSIONS)
+
+    def test_dimension_names_are_both_dataclasses_fields_in_order(self):
+        assert tuple(f.name for f in fields(DimensionScores)) == DIMENSIONS
+        assert tuple(f.name for f in fields(DimensionCoefficients)) == DIMENSIONS
+        assert tuple(DimensionScores(1, 2, 3, 4, 5, 6).as_dict().items()) == tuple(
+            zip(DIMENSIONS, (1, 2, 3, 4, 5, 6)))
 
     def test_default_weight_table_values(self):
         vmwt = Vmwt()

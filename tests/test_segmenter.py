@@ -158,6 +158,34 @@ class TestFeatures:
         seg, = segment_page(parse_html(html), cfg)
         assert seg.visual_spans == [("em", ["soft"])]
 
+    def test_each_text_node_is_tokenized_once(self):
+        html = page(
+            f'<p>lead <a href="/docs/guide?v=2">read <b>the <i>fine</i> guide</b></a> now'
+            f' <img src="/i/cat.png" alt="a cat" title="kitty"> {TWELVE}</p>'
+            f"<script>skip()</script><h2>{ELEVEN} <em>soft</em></h2>")
+        dom = parse_html(html)
+        texts = []
+        stack = [body_of(dom)]
+        while stack:
+            cur = stack.pop()
+            if cur.is_text:
+                texts.append(cur.text)
+            elif cur.tag not in RAW_TEXT_TAGS:
+                stack.extend(cur.children)
+        calls = []
+
+        def recording_tokenize(text):
+            calls.append(text)
+            return tokenize(text)
+
+        with patch.object(segmenter, "tokenize", recording_tokenize):
+            first, second = segment_page(dom)
+        attrs = ["/docs/guide v=2", "a cat", "kitty", "cat.png"]
+        assert Counter(calls) == Counter(texts + attrs)
+        assert first.links == [(["read", "the", "fine", "guide"], ["docs", "guide", "v", "2"])]
+        assert first.visual_spans == [("b", ["the", "fine", "guide"]), ("i", ["fine"])]
+        assert second.visual_spans == [("h2", second.tokens), ("em", ["soft"])]
+
 
 class TestEmptyAndConfig:
     def test_blank_body_raises(self):
@@ -513,6 +541,23 @@ class TestCachedTextOracle:
         seg, = assert_same_as_reference(parse_html(page(f"<p>{opens}{'</b>' * 200}</p>")))
         assert len(seg.visual_spans) == 200
         assert seg.visual_spans[-1] == ("b", ["w199", "x199"])
+
+    def test_split_block_with_features_and_a_merged_tail(self):
+        dense = " ".join(f"w{i}" for i in range(24))
+        sparse = " ".join(f"{word}ification" * 3 for word in ("alpha", "beta", "gamma"))
+        html = page(
+            f'<div><p>{dense} <a href="/go/x">link <b>bold <i>deep</i></b></a></p>'
+            f'<p>{sparse} <img src="/img/cat.png" alt="a cat"> <em>far <b>out</b></em></p>'
+            f' tail <a href="/t">fin</a></div>')
+        cfg = SegmentationConfig(min_tokens=5, max_tokens=30)
+        first, second = assert_same_as_reference(parse_html(html), cfg)
+        assert first.links == [(["link", "bold", "deep"], ["go", "x"])]
+        assert first.visual_spans == [("b", ["bold", "deep"]), ("i", ["deep"])]
+        # the loose tail, a text node and a link, joined the sparse block
+        assert len(second.node_paths) == 3 and "tail" in second.tokens
+        assert second.images == [(["a", "cat"], [], ["cat", "png"])]
+        assert second.links == [(["fin"], ["t"])]
+        assert second.visual_spans == [("em", ["far", "out"]), ("b", ["out"])]
 
 
 # ── reference unit walk ─────────────────────────────────────────────
