@@ -3,8 +3,11 @@
 Three interchangeable providers share one duck-typed surface
 (``provider_id`` attribute and an ``annotate(text) -> list[Entity]``
 method): a remote HTTP service, a local gazetteer, and a replay provider
-that serves recorded responses for offline runs.  Provider outages and
-protocol violations raise distinct errors so callers can degrade
+that serves recorded responses for offline runs.  A provider may also
+offer ``annotate_tokens(tokens)``, which must equal
+``annotate(text)`` for ``tokens == tokenize(text)``; ``annotate_texts``
+then hands it tokens already made instead of the text.  Provider outages
+and protocol violations raise distinct errors so callers can degrade
 deliberately instead of silently.
 """
 
@@ -94,7 +97,8 @@ class Gazetteer:
 
     Entries sort by category, then file order.  Lookup walks the text's
     tokens once and tests only the phrases that start with each token, so
-    its cost grows with the text, not with the number of phrases.
+    its cost grows with the text, not with the number of phrases; tokens
+    that start no phrase at all are settled by one set test.
     """
 
     def __init__(self, phrases: Mapping[str, Sequence[str]]):
@@ -148,7 +152,10 @@ class Gazetteer:
             for position, (_, _, phrase_tokens) in enumerate(self._entries):
                 index.setdefault(phrase_tokens[0], []).append((position, phrase_tokens))
             self._by_first_token = index
-        tokens = list(tokens)  # slices must be lists to equal the phrase tokens
+        if not isinstance(tokens, list):
+            tokens = list(tokens)  # slices must be lists to equal the phrase tokens
+        if index.keys().isdisjoint(tokens):
+            return []  # no token starts a phrase
         hits: set[int] = set()
         for start, token in enumerate(tokens):
             for position, phrase_tokens in index.get(token, ()):
@@ -170,8 +177,12 @@ class GazetteerProvider:
         self._gazetteer = gazetteer
 
     def annotate(self, text: str) -> list[Entity]:
+        return self.annotate_tokens(tokenize(text))
+
+    def annotate_tokens(self, tokens: Sequence[str]) -> list[Entity]:
+        """``annotate(text)`` for ``tokens == tokenize(text)``."""
         return [Entity(category=category, name=phrase, relevance=1.0)
-                for category, phrase, _ in self._gazetteer.lookup(tokenize(text))]
+                for category, phrase, _ in self._gazetteer.lookup(tokens)]
 
 
 # ── wire payload shared by replay and remote ────────────────────────
@@ -311,25 +322,40 @@ def annotate(text: str, provider, segment_id: int = 0) -> AnnotationSet:
                          segment_id=segment_id)
 
 
-def annotate_texts(provider, texts: Sequence[str], workers: int | None = None) -> list:
+def annotate_texts(
+    provider,
+    texts: Sequence[str],
+    workers: int | None = None,
+    tokens: Sequence[Sequence[str]] | None = None,
+) -> list:
     """Each text's entities or provider error, in input order.
 
-    Only a RemoteProvider overlaps requests: up to ``workers``, which its
+    ``tokens``, when given, holds ``tokenize(text)`` for each text; a
+    provider with ``annotate_tokens`` is then handed those instead of
+    the texts, and any other provider still gets the texts.  Only a
+    RemoteProvider overlaps requests: up to ``workers``, which its
     ``in_flight`` caps and replaces when None.  An error keeps only its
     class and message; any other exception propagates.
     """
-    def one(text: str):
+    call, items = provider.annotate, texts
+    if tokens is not None:
+        if len(tokens) != len(texts):
+            raise ValueError(f"{len(tokens)} token lists for {len(texts)} texts")
+        if hasattr(provider, "annotate_tokens"):
+            call, items = provider.annotate_tokens, tokens
+
+    def one(item):
         try:
-            return provider.annotate(text)
+            return call(item)
         except (ProviderUnavailable, ProviderProtocol) as exc:
             return type(exc)(str(exc))
 
     threads = (min(workers or provider.in_flight, provider.in_flight, len(texts))
                if isinstance(provider, RemoteProvider) else 1)
     if threads <= 1:
-        return [one(text) for text in texts]
+        return [one(item) for item in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, texts))
+        return list(pool.map(one, items))
 
 
 def annotation_score(

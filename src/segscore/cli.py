@@ -182,7 +182,8 @@ def cmd_annotate(args: argparse.Namespace) -> int:
               file=sys.stderr)
     listing = [{"segment_id": seg.id, "entities": []} for seg in segments]
     wanted = [i for i, seg in enumerate(segments) if seg.text.strip()]
-    for i, outcome in zip(wanted, annotate_texts(provider, [segments[i].text for i in wanted])):
+    for i, outcome in zip(wanted, annotate_texts(provider, [segments[i].text for i in wanted],
+                                                 tokens=[segments[i].tokens for i in wanted])):
         if isinstance(outcome, Exception):
             listing[i]["error"] = str(outcome)
         else:

@@ -109,12 +109,19 @@ def _score(value: object, what: str) -> float:
     raise TypeError(f"{what} must be a finite number, got {value!r}")
 
 
+def _typed(value: object, kind: type, what: str):
+    # a bool is an int to Python but not a JSON integer
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    raise TypeError(f"{what} must be {kind.__name__}, got {value!r}")
+
+
 def _record_from_json(seg: dict) -> SegmentScoreRecord:
     dims = seg["dimensions"]
     if not isinstance(dims, dict):
         raise TypeError(f"dimensions must be an object, got {dims!r}")
     return SegmentScoreRecord(
-        segment_id=seg["segment_id"],
+        segment_id=_typed(seg["segment_id"], int, "segment_id"),
         dimensions=DimensionScores(**{name: _score(value, name) for name, value in dims.items()}),
         delta=_score(seg["delta"], "delta"),
         annotation=_score(seg["annotation"], "annotation"),
@@ -126,15 +133,20 @@ def page_report_from_json(data: dict) -> PageReport:
     """Rebuild a PageReport from its serialized form.
 
     Every score must be a finite JSON number, so no later sum meets a
-    string, a null or a NaN; anything else raises ValueError.
+    string, a null or a NaN; ``url`` and ``query`` must be strings,
+    ``flags`` a list of strings and each ``segment_id`` an integer.
+    Anything else raises ValueError.
     """
     try:
+        flags = _typed(data.get("flags", []), list, "flags")
+        for flag in flags:
+            _typed(flag, str, "each flag")
         return PageReport(
-            url=data["url"],
-            query=data["query"],
+            url=_typed(data["url"], str, "url"),
+            query=_typed(data["query"], str, "query"),
             segment_records=[_record_from_json(seg) for seg in data["segments"]],
             page_score=_score(data["page_score"], "page_score"),
-            flags=list(data.get("flags", [])),
+            flags=list(flags),
         )
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"not a page report: {exc}") from exc
@@ -174,7 +186,8 @@ def score_page(
     else:
         wanted = [segment for segment in segments if segment.text.strip()]
         found = dict(zip([segment.id for segment in wanted], annotate_texts(
-            cfg.provider, [segment.text for segment in wanted], cfg.workers)))
+            cfg.provider, [segment.text for segment in wanted], cfg.workers,
+            [segment.tokens for segment in wanted])))
 
     records: list[SegmentScoreRecord] = []
     page_score = 0.0

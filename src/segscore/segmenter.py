@@ -373,7 +373,21 @@ def _partitioned(
 # ── segment construction ────────────────────────────────────────────
 
 
+def _plain_relative(url: str) -> bool:
+    """Whether urlsplit would read url as a bare path and query.
+
+    Such a URL has no scheme (no ":"), no fragment ("#"), no netloc
+    (no leading "//"), nothing for urlsplit to strip at its start (a first
+    character above a space) and no tab, CR or LF for it to delete.
+    """
+    return (url[:1] > " " and not url.startswith("//") and ":" not in url
+            and "#" not in url and "\t" not in url and "\r" not in url and "\n" not in url)
+
+
 def _href_tokens(href: str) -> TermVector:
+    if _plain_relative(href):
+        path, _, query = href.partition("?")
+        return tokenize(path + " " + query)
     try:
         parts = urlsplit(href)
     except ValueError:
@@ -382,10 +396,13 @@ def _href_tokens(href: str) -> TermVector:
 
 
 def _src_filename_tokens(src: str) -> TermVector:
-    try:
-        path = urlsplit(src).path
-    except ValueError:
-        path = src
+    if _plain_relative(src):
+        path = src.partition("?")[0]
+    else:
+        try:
+            path = urlsplit(src).path
+        except ValueError:
+            path = src
     return tokenize(path.rsplit("/", 1)[-1])
 
 

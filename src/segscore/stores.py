@@ -50,7 +50,8 @@ class Profile:
         for term, weight in self.terms.items():
             if tokenize(term) != [term]:
                 raise MalformedProfile(f"profile term {term!r} is not a single normalized token")
-            if not isinstance(weight, (int, float)) or not 0.0 <= weight <= 1.0:
+            if (isinstance(weight, bool) or not isinstance(weight, (int, float))
+                    or not 0.0 <= weight <= 1.0):
                 raise MalformedProfile(f"weight for {term!r} must be in [0, 1], got {weight!r}")
 
 

@@ -28,6 +28,8 @@ WeightedTermSet = dict[str, float]
 
 # \w minus underscore == Unicode alphanumerics; underscore separates.
 _TOKEN_RE = re.compile(r"[^\W_]+")
+# The same runs on lowercase ASCII text, where the class is exactly [a-z0-9].
+_ASCII_TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
 def tokenize(text: str) -> TermVector:
@@ -37,7 +39,12 @@ def tokenize(text: str) -> TermVector:
     punctuation, dashes, apostrophes and underscores all split:
     ``"don't 3GHz"`` → ``["don", "t", "3ghz"]``.
     """
-    return _TOKEN_RE.findall(text.lower())
+    # isascii() after lower(): non-ASCII text can lower to ASCII (the
+    # Kelvin sign to "k"), and both patterns must see the same string
+    lowered = text.lower()
+    if lowered.isascii():
+        return _ASCII_TOKEN_RE.findall(lowered)
+    return _TOKEN_RE.findall(lowered)
 
 
 @dataclass(frozen=True)
@@ -72,8 +79,8 @@ def match_score(tv: TermVector, wts: Mapping[str, float]) -> float:
     Multiple occurrences of a term count multiply; tokens without a weight
     contribute nothing.  Empty input on either side scores 0.0.
     """
-    if not wts:
-        return 0.0
+    if not wts or wts.keys().isdisjoint(tv):
+        return 0.0  # what the loop returns: it adds nothing to 0.0
     total = 0.0
     for tok in tv:
         total += wts.get(tok, 0.0)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import http.server
 import json
+import random
 import threading
 import time
 import warnings
@@ -26,11 +27,14 @@ from segscore import (
     annotate,
     annotate_texts,
     annotation_score,
+    parse_html,
+    segment_page,
     text_key,
     tokenize,
 )
 
-from conftest import DATA_DIR, FUSED_TERMS, GAZETTEER_PHRASES
+from conftest import CORPUS_DIR, DATA_DIR, FUSED_TERMS, GAZETTEER_PHRASES
+from genhtml import VOCAB, random_document
 
 
 class TestEntity:
@@ -155,6 +159,37 @@ class TestGazetteerLookup:
         assert gazetteer.lookup(tokens) == gazetteer.entries()
         assert gazetteer.lookup(tuple(tokens)) == gazetteer.entries()
         assert gazetteer.lookup([]) == []
+
+
+def lookup_without_precheck(gazetteer: Gazetteer, tokens) -> list[tuple[str, str, list[str]]]:
+    """Reference: the indexed lookup as it was before the disjointness test."""
+    entries = gazetteer.entries()
+    index: dict[str, list[tuple[int, list[str]]]] = {}
+    for position, (_, _, phrase_tokens) in enumerate(entries):
+        index.setdefault(phrase_tokens[0], []).append((position, phrase_tokens))
+    tokens = list(tokens)
+    hits: set[int] = set()
+    for start, token in enumerate(tokens):
+        for position, phrase_tokens in index.get(token, ()):
+            if tokens[start:start + len(phrase_tokens)] == phrase_tokens:
+                hits.add(position)
+    return [entries[position] for position in sorted(hits)]
+
+
+class TestLookupPrecheck:
+    @given(_gazetteers, st.lists(st.sampled_from(
+        ["alpha", "beta", "gamma", "delta", "x", "alphabeta"]), max_size=30))
+    def test_lookup_equals_the_reference(self, phrases, tokens):
+        gazetteer = Gazetteer(phrases)
+        expected = lookup_without_precheck(gazetteer, tokens)
+        assert gazetteer.lookup(tokens) == expected
+        assert gazetteer.lookup(tuple(tokens)) == expected
+        assert gazetteer.lookup(iter(tokens)) == expected
+
+    @given(_gazetteers, _texts)
+    def test_annotate_tokens_equals_annotate(self, phrases, text):
+        provider = GazetteerProvider(Gazetteer(phrases))
+        assert provider.annotate_tokens(tokenize(text)) == provider.annotate(text)
 
 
 class TestGazetteerProvider:
@@ -442,6 +477,55 @@ class TestAnnotateTexts:
 
         with pytest.raises(KeyError):
             annotate_texts(LocalBroken(), ["a"])
+
+    def test_tokens_give_the_same_entities_as_texts(self, gazetteer_provider):
+        pages = [path.read_text("utf-8") for path in sorted(CORPUS_DIR.glob("*.html"))]
+        pages += [random_document(random.Random(seed)) for seed in range(12)]
+        # phrases from the pages' own vocabulary, so that lookups find hits
+        provider = GazetteerProvider(Gazetteer({
+            **GAZETTEER_PHRASES,
+            "Vocab": [*VOCAB, "web search", "semantic ranking", "data note", "the"],
+        }))
+        found_any = False
+        for html in pages:
+            segments = segment_page(parse_html(html))
+            texts = [segment.text for segment in segments]
+            tokens = [segment.tokens for segment in segments]
+            for each in (provider, gazetteer_provider):
+                by_text = annotate_texts(each, texts)
+                assert annotate_texts(each, texts, tokens=tokens) == by_text
+                found_any = found_any or any(by_text)
+        assert found_any
+
+    def test_providers_without_annotate_tokens_get_the_texts(self, gazetteer_provider):
+        seen = []
+
+        class TextOnly:
+            provider_id = "text-only"
+
+            def annotate(self, text):
+                seen.append(text)
+                return gazetteer_provider.annotate(text)
+
+        texts = ["web search here", "nothing", "semantic ranking"]
+        tokens = [tokenize(text) for text in texts]
+        found = annotate_texts(TextOnly(), texts, tokens=tokens)
+        assert found == [gazetteer_provider.annotate(text) for text in texts]
+        assert seen == texts
+
+    def test_gazetteer_is_handed_the_tokens(self, gazetteer_provider, monkeypatch):
+        calls = []
+        monkeypatch.setattr("segscore.annotations.tokenize",
+                            lambda text: calls.append(text) or tokenize(text))
+        texts = ["web search here", "semantic ranking"]
+        found = annotate_texts(gazetteer_provider, texts, tokens=[tokenize(t) for t in texts])
+        assert [[e.name for e in entities] for entities in found] == \
+            [["web search"], ["semantic ranking"]]
+        assert calls == []
+
+    def test_token_lists_must_match_the_texts(self, gazetteer_provider):
+        with pytest.raises(ValueError, match="1 token lists for 2 texts"):
+            annotate_texts(gazetteer_provider, ["a", "b"], tokens=[["a"]])
 
     def test_no_texts_makes_no_requests(self, fanout_server):
         assert annotate_texts(RemoteProvider(fanout_server.endpoint), []) == []

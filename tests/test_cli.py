@@ -265,6 +265,14 @@ class TestScoreCommand:
                              "--profile", str(tmp_path / "nope.json"))
         assert code == EXIT_FAILURE and err.startswith("segscore:")
 
+    def test_bool_profile_weight_fails(self, capsys, tmp_path):
+        bad = tmp_path / "profile.json"
+        bad.write_text('[{"term": "web", "weight": true}]', "utf-8")
+        code, out, err = run(capsys, "score", T1, "--query", "web", "--profile", str(bad))
+        assert code == EXIT_FAILURE and out == ""
+        assert err.startswith("segscore:") and "got True" in err
+        assert err.count("\n") == 1
+
     def test_bad_coefficients_file_fails(self, capsys, tmp_path):
         bad = tmp_path / "coeffs.json"
         bad.write_text('{"link": -1}', "utf-8")
@@ -424,6 +432,30 @@ class TestSessionStatsCommand:
         assert out == ""
         assert f"cannot load page report {target}: not a page report: {field} must be" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("url", 5, "url must be str"),
+        ("query", None, "query must be str"),
+        ("flags", "abc", "flags must be list"),
+        ("flags", [1], "each flag must be str"),
+        ("segment_id", "x", "segment_id must be int"),
+        ("segment_id", False, "segment_id must be int"),
+    ])
+    def test_mistyped_field_is_an_error(self, capsys, tmp_path, field, value, message):
+        reports = tmp_path / "reports"
+        self.make_reports(capsys, reports)
+        target = reports / "s1__a.json"
+        data = json.loads(target.read_text("utf-8"))
+        if field == "segment_id":
+            data["segments"][0][field] = value
+        else:
+            data[field] = value
+        target.write_text(json.dumps(data), "utf-8")
+        code, out, err = run(capsys, "session-stats", str(reports))
+        assert code == EXIT_FAILURE
+        assert out == ""
+        assert f"cannot load page report {target}: not a page report: {message}" in err
+        assert err.count("\n") == 1
 
 
 class TestTopLevel:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 
 import pytest
 
@@ -27,6 +28,7 @@ from segscore import (
     segment_page,
     session_stats_csv,
     text_key,
+    tokenize,
 )
 from segscore.pipeline import PageReport, page_report_from_json
 
@@ -100,6 +102,18 @@ class TestScorePage:
     def test_default_config_is_used_when_none_given(self, query, profile):
         report = score_page(TWO_BLOCK, "u", query, profile)
         assert report.flags == ["annotations disabled: no provider configured"]
+
+    def test_gazetteer_annotates_from_the_segment_tokens(self, query, profile,
+                                                         gazetteer_provider, monkeypatch):
+        calls = []
+        monkeypatch.setattr("segscore.annotations.tokenize",
+                            lambda text: calls.append(text) or tokenize(text))
+        report = score_page(TWO_BLOCK, "u", query, profile,
+                            ScoreConfig(provider=gazetteer_provider, keep_segments=True))
+        # only entity names are tokenized, by the annotation score
+        names = [e.name for rec in report.segment_records for e in rec.entities]
+        assert names and Counter(calls) == Counter(names)
+        assert not {segment.text for segment in report.segments} & set(calls)
 
 
 class TestRemoteAnnotation:
@@ -284,6 +298,26 @@ class TestReportSerialization:
         edit(data)
         with pytest.raises(ValueError, match="not a page report"):
             page_report_from_json(data)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: data.update(url=5), "url must be str"),
+        (lambda data: data.update(query=None), "query must be str"),
+        (lambda data: data.update(flags="abc"), "flags must be list"),
+        (lambda data: data.update(flags=["ok", 3]), "each flag must be str"),
+        (lambda data: data["segments"][0].update(segment_id="x"), "segment_id must be int"),
+        (lambda data: data["segments"][0].update(segment_id=True), "segment_id must be int"),
+        (lambda data: data["segments"][0].update(segment_id=1.0), "segment_id must be int"),
+    ])
+    def test_mistyped_fields_are_rejected(self, query, profile, edit, message):
+        data = score_page(TWO_BLOCK, "u", query, profile).to_json_dict()
+        edit(data)
+        with pytest.raises(ValueError, match=f"not a page report: {message}"):
+            page_report_from_json(data)
+
+    def test_missing_flags_read_as_empty(self, query, profile):
+        data = score_page(TWO_BLOCK, "u", query, profile).to_json_dict()
+        del data["flags"]
+        assert page_report_from_json(data).flags == []
 
 
 def rec(delta: float, annotation: float) -> SegmentScoreRecord:

@@ -8,6 +8,7 @@ import time
 from collections import Counter
 from hashlib import blake2b
 from unittest.mock import patch
+from urllib.parse import urlsplit
 
 import pytest
 from hypothesis import given
@@ -670,3 +671,75 @@ class TestUnitWalkOracle:
             best = min(best, time.perf_counter() - start)
         assert seg.tokens == TWELVE.split()
         assert best < 0.1
+
+
+# ── reference URL reading ───────────────────────────────────────────
+# _href_tokens and _src_filename_tokens once sent every URL through
+# urlsplit.  These give the string that version passed to tokenize.
+
+
+def reference_href_text(href: str) -> str:
+    try:
+        parts = urlsplit(href)
+    except ValueError:
+        return href
+    return parts.path + " " + parts.query
+
+
+def reference_src_filename_text(src: str) -> str:
+    try:
+        path = urlsplit(src).path
+    except ValueError:
+        path = src
+    return path.rsplit("/", 1)[-1]
+
+
+_URL_CASES = [
+    "", "/a/b?c=1", "page.html", "?q=1", "/a?b?c", "a/b/", "/x y?z", "caf\u00e9/p\u00e4ge.png",
+    " /a", "\x00/a", "\x1f/a", "/a\tb", "/a\rb?c\nd", "//host/p?q", "/a#frag", "#top",
+    "http://x.org/y/z.png?w=1", "mailto:a@b", "a:b", "1a:b/c", "//[bad/p", "http://[::1/x",
+    "\u00e9:x", "/a/[b]?c",
+]
+_url_text = st.lists(st.sampled_from(
+    list("ab09/?#:.=&_- []%") + ["\t", "\r", "\n", "\x00", "\x1f", "\u00e9", "//", "http:"]),
+    max_size=20).map("".join)
+
+
+def recorded(function, url: str) -> tuple[list[str], list[str]]:
+    calls = []
+
+    def recording_tokenize(text):
+        calls.append(text)
+        return tokenize(text)
+
+    with patch.object(segmenter, "tokenize", recording_tokenize):
+        tokens = function(url)
+    return tokens, calls
+
+
+class TestUrlFastPathOracle:
+    """Plain relative URLs skip urlsplit; the string tokenized is unchanged."""
+
+    @pytest.mark.parametrize("url", _URL_CASES)
+    def test_fixed_urls(self, url):
+        self.check(url)
+
+    @given(st.one_of(_url_text, st.text()))
+    def test_generated_urls(self, url):
+        self.check(url)
+
+    @staticmethod
+    def check(url: str) -> None:
+        for function, reference in ((_href_tokens, reference_href_text),
+                                    (_src_filename_tokens, reference_src_filename_text)):
+            tokens, calls = recorded(function, url)
+            assert calls == [reference(url)]
+            assert tokens == tokenize(reference(url))
+
+    @pytest.mark.parametrize("url, plain", [
+        ("/a/b?c=1", True), ("img/x.png", True), ("?q", True),
+        ("", False), (" /a", False), ("//host/a", False), ("http://x/a", False),
+        ("/a#b", False), ("/a\tb", False), ("/a\nb", False), ("/a\rb", False),
+    ])
+    def test_which_urls_take_the_fast_path(self, url, plain):
+        assert segmenter._plain_relative(url) is plain

@@ -48,6 +48,11 @@ class TestProfileValidation:
             with pytest.raises(MalformedProfile):
                 Profile(terms={"web": weight})
 
+    def test_rejects_bool_weights(self):
+        for weight in (True, False):
+            with pytest.raises(MalformedProfile, match="must be in"):
+                Profile(terms={"web": weight})
+
 
 class TestProfileFiles:
     def test_loads_versioned_fixture(self):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -119,3 +122,66 @@ class TestTermProperties:
             assert fused[term] >= 1.0
         for term, weight in fused.items():
             assert 0.0 <= weight <= 2.0
+
+
+# ── references for the fast paths ───────────────────────────────────
+# tokenize once ran the Unicode pattern on every text, and match_score
+# once summed over every token; both stay here as the references.
+
+_REFERENCE_TOKEN_RE = re.compile(r"[^\W_]+")
+
+
+def reference_tokenize(text: str) -> list[str]:
+    return _REFERENCE_TOKEN_RE.findall(text.lower())
+
+
+def reference_match_score(tv: list[str], wts: dict[str, float]) -> float:
+    if not wts:
+        return 0.0
+    total = 0.0
+    for tok in tv:
+        total += wts.get(tok, 0.0)
+    return total
+
+
+# ASCII letters of both cases, digits, separators, and characters that
+# lower to ASCII (the Kelvin sign), lower to two code points (dotted
+# capital I) or are letters, digits or marks outside ASCII.
+_mixed_text = st.text(alphabet=st.sampled_from(
+    list("aZk09 _-.\t\n'") + ["\u212a", "\u0130", "\u00e9", "\u00df", "\u0301",
+                              "\u0663", "\u65e5", "\u03a3", "\u00b2", "\u2160"]))
+
+
+def same_float(a: float, b: float) -> bool:
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+class TestFastPathsAgainstReferences:
+    @given(st.one_of(st.text(), _mixed_text))
+    def test_tokenize_equals_the_unicode_pattern(self, text):
+        assert tokenize(text) == reference_tokenize(text)
+
+    @pytest.mark.parametrize("text, tokens", [
+        ("\u212aelvin", ["kelvin"]),        # lowers to ASCII, read as ASCII
+        ("\u0130stanbul", ["i", "stanbul"]),  # lowers to "i" and a combining dot
+        ("snake_case_2", ["snake", "case", "2"]),
+        ("x\u00b2 \u2160", ["x\u00b2", "\u2170"]),
+    ])
+    def test_tokenize_fixed_cases(self, text, tokens):
+        assert tokenize(text) == tokens == reference_tokenize(text)
+
+    @given(st.lists(st.sampled_from(["web", "search", "zz", "other", "x"]), max_size=12),
+           st.dictionaries(
+               st.sampled_from(["web", "search", "semantic", "zz"]),
+               st.sampled_from([0.0, -0.0, 0.5, 1.0, 1e-300, -2.5, 1e308]) | st.floats(
+                   allow_nan=False, allow_infinity=False),
+               max_size=4))
+    def test_match_score_equals_the_plain_loop(self, tv, wts):
+        assert same_float(match_score(tv, wts), reference_match_score(tv, wts))
+
+    def test_disjoint_and_negative_zero_cases(self):
+        for tv in (["web", "x"], ["x", "web"], ["web"]):
+            assert same_float(match_score(tv, {"web": 0.5, "zz": 1.0}), 0.5)
+        assert same_float(match_score(["a", "b"], {"c": -0.0}), 0.0)
+        assert same_float(match_score(["c"], {"c": -0.0}), 0.0 + -0.0)
+        assert same_float(match_score(["c", "c"], {"c": -1.0}), -2.0)
