@@ -14,15 +14,18 @@ deliberately instead of silently.
 from __future__ import annotations
 
 import json
+import queue
+import re
+import socket
 import threading
 import time
 import urllib.error
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from hashlib import sha256
 from pathlib import Path
 from typing import Mapping, Sequence
+from urllib.parse import urlsplit
 
 from .errors import ProviderProtocol, ProviderUnavailable
 from .scoring import read_weight_table
@@ -244,17 +247,63 @@ class ReplayProvider:
 
 # Client errors that can clear up on their own: request timeout, rate limit.
 _RETRIED_CLIENT_ERRORS = frozenset({408, 429})
+_DEFAULT_PORTS = {"http": 80, "https": 443}
+# A reply's head ends at its first empty line; bare LF line ends count too.
+_HEAD_END = re.compile(rb"\r?\n\r?\n")
+_STATUS = re.compile("[1-9][0-9][0-9]")
+_CONTENT_LENGTH = re.compile(rb"\ncontent-length:([^\r\n]*)", re.IGNORECASE)
+
+
+def _parse_reply(reply: bytes, origin: str) -> tuple[int, str, bytes]:
+    """``(status, reason, body)`` of one HTTP/1.0 reply read to EOF.
+
+    A reply that is empty, ends in its head or is shorter than its
+    ``Content-Length`` was cut off in transit: ConnectionError.  One
+    whose status line cannot be read is ProviderProtocol.
+    """
+    if not reply:
+        raise ConnectionResetError("Remote end closed connection without response")
+    end = _HEAD_END.search(reply)
+    head = reply[:end.start()] if end else reply
+    fields = head.split(b"\n", 1)[0].decode("latin-1").split(None, 2)
+    if len(fields) < 2 or not fields[0].startswith("HTTP/") or not _STATUS.fullmatch(fields[1]):
+        raise ProviderProtocol(f"{origin}: reply has no HTTP status line: {reply[:80]!r}")
+    if end is None:
+        raise ConnectionError("Remote end closed connection inside the reply head")
+    body = reply[end.end():]
+    declared = _CONTENT_LENGTH.search(head)
+    if declared:
+        try:
+            length = int(declared.group(1))
+        except ValueError:  # unreadable: the body runs to EOF, as without one
+            length = -1
+        if length > len(body):
+            raise ConnectionError(f"reply body ended after {len(body)} of its {length} bytes")
+        if length >= 0:
+            body = body[:length]
+    return int(fields[1]), fields[2].strip() if len(fields) > 2 else "", body
 
 
 class RemoteProvider:
     """POSTs raw UTF-8 text to an annotation endpoint and parses the reply.
 
-    Transient failures (transport errors, HTTP 5xx, 408 and 429) are
-    retried with exponential backoff before giving up with
-    ProviderUnavailable; any other HTTP 4xx gives up after one attempt,
-    and a reply that does not follow the wire schema raises
-    ProviderProtocol immediately.  At most ``in_flight`` requests run
-    concurrently; ``annotate_texts`` overlaps that many.
+    Each attempt is one HTTP/1.0 exchange on a connection of its own:
+    the request goes out in one write and the reply is read to EOF.
+    Proxy environment variables are not consulted, and an https endpoint
+    is checked against the system's trusted certificates.  The endpoint
+    must be an http or https URL with a host, without user info, whose
+    path and query are printable ASCII without spaces; any other is a
+    ValueError here.
+
+    Transient failures (transport errors, a reply cut short, HTTP 5xx,
+    408 and 429) are retried with exponential backoff before giving up
+    with ProviderUnavailable; a redirect (3xx) or any other HTTP 4xx
+    gives up after one attempt, and a reply without an HTTP status line
+    or that does not follow the wire schema raises ProviderProtocol
+    immediately.  At most ``in_flight`` requests run concurrently.
+    ``annotate_texts`` overlaps that many: the calling thread plus a
+    pool of ``in_flight - 1`` threads, started by the first call that
+    overlaps requests and reused by every later one.
     """
 
     provider_id = "remote"
@@ -272,47 +321,114 @@ class RemoteProvider:
             raise ValueError("retries must be >= 1")
         if in_flight < 1:
             raise ValueError("in_flight must be >= 1")
+        try:
+            parts = urlsplit(endpoint)
+            hostname, port = parts.hostname, parts.port
+        except ValueError as exc:
+            raise ValueError(f"endpoint {endpoint!r} is not a valid URL: {exc}") from None
+        if parts.scheme not in _DEFAULT_PORTS:
+            raise ValueError(f"endpoint {endpoint!r} must be an http or https URL")
+        if not hostname:
+            raise ValueError(f"endpoint {endpoint!r} has no host")
+        if "@" in parts.netloc:
+            raise ValueError(f"endpoint {endpoint!r} must not carry user info")
+        if port == 0:
+            raise ValueError(f"endpoint {endpoint!r} has port 0")
+        target = parts.path or "/"
+        if parts.query:
+            target += "?" + parts.query
+        host = parts.netloc
+        if not host.isascii():
+            host = host.encode("idna").decode("ascii")  # UnicodeError is a ValueError
+        for what, value in (("host", host), ("path and query", target)):
+            if not (value.isascii() and value.isprintable()) or " " in value:
+                raise ValueError(f"endpoint {endpoint!r} must have its {what} in "
+                                 "printable ASCII without spaces")
         self.in_flight = in_flight
         self._endpoint = endpoint
+        self._address = (hostname, port or _DEFAULT_PORTS[parts.scheme])
+        self._https = parts.scheme == "https"
+        self._head = (f"POST {target} HTTP/1.0\r\nHost: {host}\r\n"
+                      "Content-Type: text/plain; charset=utf-8\r\n"
+                      "Content-Length: ").encode("ascii")
         self._timeout = timeout
         self._retries = retries
         self._backoff = backoff
-        self._gate = threading.Semaphore(in_flight)
+        # in_flight tokens: each attempt takes one and puts it back
+        self._gate: queue.SimpleQueue[None] = queue.SimpleQueue()
+        for _ in range(in_flight):
+            self._gate.put(None)
+        self._lazy = threading.Lock()  # guards the first build of the two below
+        self._tls_context = None
+        self._pool: ThreadPoolExecutor | None = None
 
     def annotate(self, text: str) -> list[Entity]:
         body = text.encode("utf-8")
-        last_error: Exception | None = None
+        request = b"%s%d\r\n\r\n%s" % (self._head, len(body), body)
+        last_error: object = None
         for attempt in range(self._retries):
             if attempt:
                 time.sleep(self._backoff * (2 ** (attempt - 1)))
+            self._gate.get()
             try:
-                raw = self._post(body)
-            except urllib.error.HTTPError as exc:
-                exc.close()  # the error holds the response and its socket
-                if 400 <= exc.code < 500 and exc.code not in _RETRIED_CLIENT_ERRORS:
-                    raise ProviderUnavailable(
-                        f"{self._endpoint} refused the request: HTTP {exc.code} {exc.reason}"
-                    ) from exc
+                status, reason, payload = _parse_reply(self._exchange(request), self._endpoint)
+            except OSError as exc:  # urllib.error.URLError included
                 last_error = exc
                 continue
-            except (urllib.error.URLError, OSError) as exc:
-                last_error = exc
-                continue
-            return _parse_entities(raw, origin=self._endpoint)
+            finally:
+                self._gate.put(None)
+            if 200 <= status < 300:
+                return _parse_entities(payload, origin=self._endpoint)
+            if 300 <= status < 500 and status not in _RETRIED_CLIENT_ERRORS:
+                raise ProviderUnavailable(
+                    f"{self._endpoint} refused the request: HTTP {status} {reason}")
+            last_error = f"HTTP Error {status}: {reason}"
         raise ProviderUnavailable(
             f"{self._endpoint} unreachable after {self._retries} attempts: {last_error}"
         )
 
-    def _post(self, body: bytes) -> bytes:
-        request = urllib.request.Request(
-            self._endpoint,
-            data=body,
-            headers={"Content-Type": "text/plain; charset=utf-8"},
-            method="POST",
-        )
-        with self._gate:
-            with urllib.request.urlopen(request, timeout=self._timeout) as response:
-                return response.read()
+    def _exchange(self, request: bytes) -> bytes:
+        """Send ``request`` on a new connection and read the reply to EOF.
+
+        An OSError while connecting or sending comes wrapped in URLError,
+        as urllib wraps it, so flags read as they did with urllib; one
+        while reading is raised as it is.
+        """
+        try:
+            sock = socket.create_connection(self._address, self._timeout)
+        except OSError as exc:
+            raise urllib.error.URLError(exc) from exc
+        try:
+            try:
+                if self._https:
+                    sock = self._tls().wrap_socket(sock, server_hostname=self._address[0])
+                sock.sendall(request)
+            except OSError as exc:
+                raise urllib.error.URLError(exc) from exc
+            chunks = []
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        finally:
+            sock.close()
+        return b"".join(chunks)
+
+    def _tls(self):
+        """The one TLS context of an https endpoint, built at first use."""
+        if self._tls_context is None:
+            import ssl
+            with self._lazy:
+                if self._tls_context is None:
+                    self._tls_context = ssl.create_default_context()
+        return self._tls_context
+
+    def _drain_pool(self) -> ThreadPoolExecutor:
+        """The threads ``annotate_texts`` overlaps requests on, started at first use."""
+        if self._pool is None:
+            with self._lazy:
+                if self._pool is None:
+                    self._pool = ThreadPoolExecutor(self.in_flight - 1,
+                                                    thread_name_prefix="segscore-annotate")
+        return self._pool
 
 
 def annotate(text: str, provider, segment_id: int = 0) -> AnnotationSet:
@@ -334,8 +450,9 @@ def annotate_texts(
     provider with ``annotate_tokens`` is then handed those instead of
     the texts, and any other provider still gets the texts.  Only a
     RemoteProvider overlaps requests: up to ``workers``, which its
-    ``in_flight`` caps and replaces when None.  An error keeps only its
-    class and message; any other exception propagates.
+    ``in_flight`` caps and replaces when None, on the calling thread
+    and the provider's own pool.  An error keeps only its class and
+    message; any other exception propagates.
     """
     call, items = provider.annotate, texts
     if tokens is not None:
@@ -354,8 +471,44 @@ def annotate_texts(
                if isinstance(provider, RemoteProvider) else 1)
     if threads <= 1:
         return [one(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, items))
+    return _overlapped(provider._drain_pool(), one, items, threads)
+
+
+def _overlapped(pool: ThreadPoolExecutor, one, items: Sequence, threads: int) -> list:
+    """``[one(item) for item in items]`` on the calling thread plus ``threads - 1`` of ``pool``'s.
+
+    Every drain takes item indices from one queue until it is empty, so
+    at most ``threads`` items run at once.  An exception from ``one``
+    is held until every item has run, then the one raised for the
+    earliest item is raised.  A drain that has not started by the time
+    the calling thread's drain ends is cancelled, not waited for.
+    """
+    todo: queue.SimpleQueue[int] = queue.SimpleQueue()
+    for index in range(len(items)):
+        todo.put(index)
+    results: list = [None] * len(items)
+    failures: list[Exception | None] = [None] * len(items)
+
+    def drain() -> None:
+        while True:
+            try:
+                index = todo.get_nowait()
+            except queue.Empty:
+                return
+            try:
+                results[index] = one(items[index])
+            except Exception as exc:  # raised below, once every item has run
+                failures[index] = exc
+
+    drains = [pool.submit(drain) for _ in range(threads - 1)]
+    drain()
+    for future in drains:
+        if not future.cancel():
+            future.result()
+    for exc in failures:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def annotation_score(

@@ -93,7 +93,10 @@ def _build_provider(args: argparse.Namespace):
     endpoint = args.endpoint or os.environ.get(ENDPOINT_ENV)
     if not endpoint:
         raise CliError(f"--provider remote requires --endpoint URL or ${ENDPOINT_ENV}")
-    return RemoteProvider(endpoint)
+    try:
+        return RemoteProvider(endpoint)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _emit(text: str, out: str | None) -> None:

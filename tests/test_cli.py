@@ -247,6 +247,20 @@ class TestScoreCommand:
         assert code == EXIT_FAILURE
         assert ENDPOINT_ENV in err
 
+    @pytest.mark.parametrize("endpoint", [
+        "notaurl", "http://[::1/x", "ftp://127.0.0.1/x", "http://127.0.0.1:99999/x",
+        "http://user@127.0.0.1/x", "http://127.0.0.1/a b"])
+    @pytest.mark.parametrize("command", ["score", "annotate"])
+    def test_malformed_endpoint_fails_with_one_line(self, capsys, monkeypatch,
+                                                    command, endpoint):
+        monkeypatch.delenv(ENDPOINT_ENV, raising=False)
+        query = ["--query", "web"] if command == "score" else []
+        code, out, err = run(capsys, command, T1, *query,
+                             "--provider", "remote", "--endpoint", endpoint)
+        assert code == EXIT_FAILURE and out == ""
+        assert err.startswith(f"segscore: endpoint {endpoint!r} ")
+        assert err.count("\n") == 1
+
     def test_remote_endpoint_from_environment_degrades_gracefully(
             self, capsys, monkeypatch, tmp_path):
         page = tmp_path / "one.html"
