@@ -59,7 +59,6 @@ from .segmenter import (
     SegmentationConfig,
     segment_page,
     segments_to_json,
-    text_density,
     token_fingerprint,
 )
 from .stores import (
@@ -69,7 +68,6 @@ from .stores import (
     SnapshotStore,
     load_profile,
     match_prior_segment,
-    save_profile,
 )
 from .terms import Query, fuse_terms, match_score, tokenize
 

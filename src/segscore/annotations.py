@@ -13,7 +13,6 @@ deliberately instead of silently.
 
 from __future__ import annotations
 
-import json
 import queue
 import re
 import socket
@@ -27,7 +26,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 from urllib.parse import urlsplit
 
-from .errors import ProviderProtocol, ProviderUnavailable
+from .errors import ProviderProtocol, ProviderUnavailable, checked, decode_json, finite
 from .scoring import read_weight_table
 from .terms import WeightedTermSet, match_score, tokenize
 
@@ -132,7 +131,7 @@ class Gazetteer:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Gazetteer":
-        data = json.loads(Path(path).read_text("utf-8"))
+        data = decode_json(Path(path).read_text("utf-8"), path)
         if not isinstance(data, dict):
             raise ValueError(f"{path}: gazetteer file must map categories to phrase lists")
         return cls(data)
@@ -195,8 +194,8 @@ def _parse_entities(payload: object, origin: str) -> list[Entity]:
     """Validate a ``{"entities": [{"type", "name", "relevance"?}]}`` payload."""
     if isinstance(payload, (bytes, str)):
         try:
-            payload = json.loads(payload)
-        except json.JSONDecodeError as exc:
+            payload = decode_json(payload, origin)
+        except ValueError as exc:
             raise ProviderProtocol(f"{origin}: response is not JSON: {exc}") from exc
     if not isinstance(payload, dict) or "entities" not in payload:
         raise ProviderProtocol(f"{origin}: response lacks an 'entities' list")
@@ -209,11 +208,11 @@ def _parse_entities(payload: object, origin: str) -> list[Entity]:
             raise ProviderProtocol(f"{origin}: entity entry is not an object")
         try:
             entities.append(Entity(
-                category=item["type"],
-                name=item["name"],
-                relevance=float(item.get("relevance", 1.0)),
+                category=checked(item["type"], str, "type"),
+                name=checked(item["name"], str, "name"),
+                relevance=finite(item.get("relevance", 1.0), "relevance"),
             ))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, ValueError) as exc:
             raise ProviderProtocol(f"{origin}: bad entity entry {item!r}: {exc}") from exc
     return entities
 
@@ -233,7 +232,7 @@ class ReplayProvider:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ReplayProvider":
-        data = json.loads(Path(path).read_text("utf-8"))
+        data = decode_json(Path(path).read_text("utf-8"), path)
         if not isinstance(data, dict):
             raise ValueError(f"{path}: replay fixtures must map text keys to responses")
         return cls(data)
@@ -441,7 +440,6 @@ def annotate(text: str, provider, segment_id: int = 0) -> AnnotationSet:
 def annotate_texts(
     provider,
     texts: Sequence[str],
-    workers: int | None = None,
     tokens: Sequence[Sequence[str]] | None = None,
 ) -> list:
     """Each text's entities or provider error, in input order.
@@ -449,10 +447,9 @@ def annotate_texts(
     ``tokens``, when given, holds ``tokenize(text)`` for each text; a
     provider with ``annotate_tokens`` is then handed those instead of
     the texts, and any other provider still gets the texts.  Only a
-    RemoteProvider overlaps requests: up to ``workers``, which its
-    ``in_flight`` caps and replaces when None, on the calling thread
-    and the provider's own pool.  An error keeps only its class and
-    message; any other exception propagates.
+    RemoteProvider overlaps requests: up to its ``in_flight``, on the
+    calling thread and the provider's own pool.  An error keeps only
+    its class and message; any other exception propagates.
     """
     call, items = provider.annotate, texts
     if tokens is not None:
@@ -467,8 +464,7 @@ def annotate_texts(
         except (ProviderUnavailable, ProviderProtocol) as exc:
             return type(exc)(str(exc))
 
-    threads = (min(workers or provider.in_flight, provider.in_flight, len(texts))
-               if isinstance(provider, RemoteProvider) else 1)
+    threads = min(provider.in_flight, len(texts)) if isinstance(provider, RemoteProvider) else 1
     if threads <= 1:
         return [one(item) for item in items]
     return _overlapped(provider._drain_pool(), one, items, threads)

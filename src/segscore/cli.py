@@ -25,12 +25,13 @@ from .annotations import (
     ReplayProvider,
     annotate_texts,
 )
-from .dom import parse_html
-from .errors import EmptyPage, SegscoreError
+from .dom import DomNode, parse_html
+from .errors import EmptyPage, SegscoreError, decode_json
 from .pipeline import (
     PageReport,
     ScoreConfig,
     SessionStats,
+    _effective_segmentation,
     compute_session_stats,
     page_report_from_json,
     reference_table_checks,
@@ -39,7 +40,7 @@ from .pipeline import (
 )
 from .reports import score_report_html, segment_boundary_html
 from .scoring import DimensionCoefficients, Vmwt
-from .segmenter import SegmentationConfig, segment_page, segments_to_json
+from .segmenter import Segment, segment_page, segments_to_json
 from .stores import Profile, SnapshotStore, load_profile
 from .terms import Query
 
@@ -122,19 +123,22 @@ def _vmwt_from(args: argparse.Namespace) -> Vmwt:
     return Vmwt()
 
 
+def _page_segments(args: argparse.Namespace, if_empty: str) -> tuple[DomNode, list[Segment]]:
+    """The input page and its segments, cut as ``score`` cuts them."""
+    dom = parse_html(_read_input(args.input))
+    segmentation = _effective_segmentation(ScoreConfig(vmwt=_vmwt_from(args)))
+    try:
+        return dom, segment_page(dom, segmentation)
+    except EmptyPage:
+        print(f"segscore: page body has no visible text; {if_empty}", file=sys.stderr)
+        return dom, []
+
+
 # ── subcommands ─────────────────────────────────────────────────────
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
-    dom = parse_html(_read_input(args.input))
-    vmwt = _vmwt_from(args)
-    cfg = SegmentationConfig(visual_tags=frozenset(vmwt.tag_weights))
-    try:
-        segments = segment_page(dom, cfg)
-    except EmptyPage:
-        segments = []
-        print("segscore: page body has no visible text; segment list is empty",
-              file=sys.stderr)
+    dom, segments = _page_segments(args, "segment list is empty")
     if args.format == "html":
         _emit(segment_boundary_html(dom, segments), args.out)
     else:
@@ -176,13 +180,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     provider = _build_provider(args)
     if provider is None:
         raise CliError("annotate needs a real provider, not --provider none")
-    dom = parse_html(_read_input(args.input))
-    try:
-        segments = segment_page(dom, SegmentationConfig())
-    except EmptyPage:
-        segments = []
-        print("segscore: page body has no visible text; nothing to annotate",
-              file=sys.stderr)
+    _, segments = _page_segments(args, "nothing to annotate")
     listing = [{"segment_id": seg.id, "entities": []} for seg in segments]
     wanted = [i for i, seg in enumerate(segments) if seg.text.strip()]
     for i, outcome in zip(wanted, annotate_texts(provider, [segments[i].text for i in wanted],
@@ -201,7 +199,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 def _load_reference_csv(path: str) -> list[SessionStats]:
     try:
         text = Path(path).read_text("utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     reader = csv.DictReader(io.StringIO(text))
     required = {"session_id", "msc", "msss", "mcas"}
@@ -236,7 +234,7 @@ def cmd_session_stats(args: argparse.Namespace) -> int:
         groups: dict[str, list[PageReport]] = {}
         for file in files:
             try:
-                report = page_report_from_json(json.loads(file.read_text("utf-8")))
+                report = page_report_from_json(decode_json(file.read_text("utf-8"), file))
             except (OSError, ValueError) as exc:
                 raise CliError(f"cannot load page report {file}: {exc}") from exc
             session_id = file.stem.split("__", 1)[0]
@@ -318,10 +316,7 @@ def main(argv: list[str] | None = None) -> int:
         return code
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"segscore: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except SegscoreError as exc:
+    except (CliError, SegscoreError) as exc:
         print(f"segscore: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

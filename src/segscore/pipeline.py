@@ -10,7 +10,6 @@ freshness relative to the previous visit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from functools import reduce
@@ -19,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .annotations import AnnotationSet, CategoryWeights, Entity, annotate_texts, annotation_score
 from .dom import page_title_tokens, parse_html
-from .errors import EmptySession, ProviderUnavailable
+from .errors import EmptySession, ProviderUnavailable, checked, finite
 from .scoring import DimensionCoefficients, DimensionScores, Vmwt, structural_score
 from .segmenter import Segment, SegmentationConfig, segment_page
 from .stores import SnapshotRecord, SnapshotStore, Profile, match_prior_segment
@@ -50,7 +49,6 @@ class ScoreConfig:
     provider: object | None = None
     snapshot_store: SnapshotStore | None = None
     write_snapshot: bool = True
-    workers: int | None = None  # remote annotation requests in flight; None -> provider's in_flight
     keep_segments: bool = False  # fill PageReport.segments
 
 
@@ -100,55 +98,38 @@ class PageReport:
         }
 
 
-def _score(value: object, what: str) -> float:
-    # a bool is an int to Python but not a JSON number; a huge int overflows
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        number = float(value)
-        if math.isfinite(number):
-            return number
-    raise TypeError(f"{what} must be a finite number, got {value!r}")
-
-
-def _typed(value: object, kind: type, what: str):
-    # a bool is an int to Python but not a JSON integer
-    if isinstance(value, kind) and not isinstance(value, bool):
-        return value
-    raise TypeError(f"{what} must be {kind.__name__}, got {value!r}")
-
-
 def _record_from_json(seg: dict) -> SegmentScoreRecord:
-    dims = seg["dimensions"]
-    if not isinstance(dims, dict):
-        raise TypeError(f"dimensions must be an object, got {dims!r}")
+    dims = checked(seg["dimensions"], dict, "dimensions")
     return SegmentScoreRecord(
-        segment_id=_typed(seg["segment_id"], int, "segment_id"),
-        dimensions=DimensionScores(**{name: _score(value, name) for name, value in dims.items()}),
-        delta=_score(seg["delta"], "delta"),
-        annotation=_score(seg["annotation"], "annotation"),
-        total=_score(seg["total"], "total"),
+        segment_id=checked(seg["segment_id"], int, "segment_id"),
+        dimensions=DimensionScores(**{name: finite(value, name) for name, value in dims.items()}),
+        delta=finite(seg["delta"], "delta"),
+        annotation=finite(seg["annotation"], "annotation"),
+        total=finite(seg["total"], "total"),
     )
 
 
-def page_report_from_json(data: dict) -> PageReport:
+def page_report_from_json(data: object) -> PageReport:
     """Rebuild a PageReport from its serialized form.
 
-    Every score must be a finite JSON number, so no later sum meets a
-    string, a null or a NaN; ``url`` and ``query`` must be strings,
-    ``flags`` a list of strings and each ``segment_id`` an integer.
-    Anything else raises ValueError.
+    The report must be a JSON object.  Every score must be a finite JSON
+    number, so no later sum meets a string, a null or a NaN; ``url`` and
+    ``query`` must be strings, ``flags`` a list of strings and each
+    ``segment_id`` an integer.  Anything else raises ValueError.
     """
     try:
-        flags = _typed(data.get("flags", []), list, "flags")
+        data = checked(data, dict, "page report")
+        flags = checked(data.get("flags", []), list, "flags")
         for flag in flags:
-            _typed(flag, str, "each flag")
+            checked(flag, str, "each flag")
         return PageReport(
-            url=_typed(data["url"], str, "url"),
-            query=_typed(data["query"], str, "query"),
+            url=checked(data["url"], str, "url"),
+            query=checked(data["query"], str, "query"),
             segment_records=[_record_from_json(seg) for seg in data["segments"]],
-            page_score=_score(data["page_score"], "page_score"),
+            page_score=finite(data["page_score"], "page_score"),
             flags=list(flags),
         )
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"not a page report: {exc}") from exc
 
 
@@ -186,7 +167,7 @@ def score_page(
     else:
         wanted = [segment for segment in segments if segment.text.strip()]
         found = dict(zip([segment.id for segment in wanted], annotate_texts(
-            cfg.provider, [segment.text for segment in wanted], cfg.workers,
+            cfg.provider, [segment.text for segment in wanted],
             [segment.tokens for segment in wanted])))
 
     records: list[SegmentScoreRecord] = []

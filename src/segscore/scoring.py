@@ -8,8 +8,6 @@ structural score is the coefficient-weighted sum of all six.
 
 from __future__ import annotations
 
-import json
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
@@ -17,6 +15,7 @@ from operator import add, attrgetter, mul
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
+from .errors import decode_json, finite
 from .terms import TermVector, WeightedTermSet, match_score
 
 if TYPE_CHECKING:  # Segment is only needed for annotations
@@ -48,20 +47,13 @@ DIMENSIONS = ("link", "image", "theme", "visual", "freshness", "profile")
 _dimension_values = attrgetter(*DIMENSIONS)
 
 
-# Reads integers as floats, so one too large for a float becomes inf.
-_FLOAT_JSON = json.JSONDecoder(parse_int=float)
-
-
 def read_weight_table(path: str | Path, what: str) -> dict[str, float]:
-    """Read a flat JSON object whose values are all finite numbers."""
-    data = _FLOAT_JSON.decode(Path(path).read_text("utf-8"))
+    """Read a flat JSON object whose values are all finite numbers, as floats."""
+    data = decode_json(Path(path).read_text("utf-8"), path)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: {what} file must be a flat JSON object")
-    for key, value in data.items():
-        if not isinstance(value, float) or not math.isfinite(value):
-            raise ValueError(f"{path}: {what} value for {key!r} must be a finite number, "
-                             f"got {value!r}")
-    return data
+    return {key: finite(value, f"{path}: {what} value for {key!r}")
+            for key, value in data.items()}
 
 
 @dataclass(frozen=True)

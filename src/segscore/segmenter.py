@@ -21,7 +21,6 @@ not attributed to any segment, though its text always is.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from hashlib import blake2b
@@ -29,8 +28,8 @@ from itertools import chain
 from pathlib import Path
 from urllib.parse import urlsplit
 
-from .dom import RAW_TEXT_TAGS, TEXT_TAG, DomNode, body_of, visible_text
-from .errors import EmptyPage
+from .dom import RAW_TEXT_TAGS, TEXT_TAG, DomNode, body_of
+from .errors import EmptyPage, checked, decode_json, finite
 from .terms import TermVector, tokenize
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "LINE_WIDTH",
     "SegmentationConfig",
     "Segment",
-    "text_density",
     "token_fingerprint",
     "segment_page",
     "segments_to_json",
@@ -84,29 +82,24 @@ class SegmentationConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "SegmentationConfig":
         """Load overrides from a flat JSON object; absent keys keep defaults."""
-        data = json.loads(Path(path).read_text("utf-8"))
+        data = decode_json(Path(path).read_text("utf-8"), path)
         if not isinstance(data, dict):
             raise ValueError(f"{path}: segmentation config must be a JSON object")
-        kwargs: dict = {}
-        for key in ("block_tags", "visual_tags"):
-            if key in data:
-                tags = data[key]
-                if not isinstance(tags, list) or not all(isinstance(tag, str) for tag in tags):
-                    raise ValueError(f"{path}: {key} must be a list of strings, got {tags!r}")
-                kwargs[key] = frozenset(tags)
-        for key in ("min_tokens", "max_tokens"):
-            if key in data:
-                value = data[key]
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ValueError(f"{path}: {key} must be an integer, got {value!r}")
-                kwargs[key] = value
-        if "density_floor" in data:
-            value = data["density_floor"]
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isfinite(value)):
-                raise ValueError(f"{path}: density_floor must be a finite number, got {value!r}")
-            kwargs["density_floor"] = value
-        return cls(**kwargs)
+        return cls(**{key: check(data[key], f"{path}: {key}")
+                      for key, check in _FILE_FIELDS.items() if key in data})
+
+
+def _tag_set(value: object, what: str) -> frozenset[str]:
+    return frozenset(checked(tag, str, f"{what} entry") for tag in checked(value, list, what))
+
+
+def _integer(value: object, what: str) -> int:
+    return checked(value, int, what)
+
+
+# the checker of each SegmentationConfig field a config file may set
+_FILE_FIELDS = {"block_tags": _tag_set, "visual_tags": _tag_set, "min_tokens": _integer,
+                "max_tokens": _integer, "density_floor": finite}
 
 
 @dataclass
@@ -142,12 +135,6 @@ def _density_of(text: str, tokens: TermVector) -> float:
     chars = len(" ".join(text.split()))
     lines = max(1, math.ceil(chars / LINE_WIDTH))
     return len(tokens) / lines
-
-
-def text_density(node: DomNode) -> float:
-    """Tokens per 80-character wrap line of the subtree's visible text."""
-    text = visible_text(node)
-    return _density_of(text, tokenize(text))
 
 
 def token_fingerprint(tokens: TermVector) -> int:

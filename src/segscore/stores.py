@@ -8,7 +8,6 @@ so a crashed writer can never leave a half-written snapshot behind.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from collections import Counter
@@ -19,19 +18,17 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .errors import MalformedProfile, MissingFile, StorageFailure
+from .errors import MalformedProfile, MissingFile, StorageFailure, decode_json
 from .segmenter import Segment
 from .terms import tokenize
 
 __all__ = [
     "Profile",
     "load_profile",
-    "save_profile",
     "SnapshotSegment",
     "SnapshotRecord",
     "SnapshotStore",
     "match_prior_segment",
-    "token_jaccard",
 ]
 
 
@@ -58,21 +55,22 @@ class Profile:
 def load_profile(path: str | Path) -> Profile:
     """Read a profile file.
 
-    Accepts the versioned object form written by save_profile, a bare
-    JSON list of {term, weight} entries, or an empty file (zero terms).
+    Accepts the versioned object form ``{"v": 1, "owner_id": ..., "terms":
+    [...]}``, a bare JSON list of {term, weight} entries, or an empty file
+    (zero terms).  Each term must be a string.
     """
     p = Path(path)
     try:
         raw = p.read_text("utf-8")
     except FileNotFoundError:
         raise MissingFile(f"profile file not found: {p}") from None
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedProfile(f"cannot read profile file {p}: {exc}") from exc
     if not raw.strip():
         return Profile()
     try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+        data = decode_json(raw, p)
+    except ValueError as exc:
         raise MalformedProfile(f"{p}: not valid JSON: {exc}") from exc
 
     owner_id = ""
@@ -91,26 +89,12 @@ def load_profile(path: str | Path) -> Profile:
         if not isinstance(item, dict) or "term" not in item or "weight" not in item:
             raise MalformedProfile(f"{p}: each entry needs 'term' and 'weight', got {item!r}")
         term = item["term"]
+        if not isinstance(term, str):
+            raise MalformedProfile(f"{p}: profile term {term!r} is not a string")
         if term in terms:
             raise MalformedProfile(f"{p}: duplicate term {term!r}")
         terms[term] = item["weight"]
     return Profile(owner_id=owner_id, terms=terms)
-
-
-def save_profile(profile: Profile, path: str | Path) -> None:
-    """Write the versioned profile file; same profile always gives same bytes."""
-    payload = {
-        "v": 1,
-        "owner_id": profile.owner_id,
-        "terms": [
-            {"term": term, "weight": weight}
-            for term, weight in sorted(profile.terms.items())
-        ],
-    }
-    try:
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", "utf-8")
-    except OSError as exc:
-        raise StorageFailure(f"cannot write profile file {path}: {exc}") from exc
 
 
 # ── snapshots ───────────────────────────────────────────────────────
@@ -248,7 +232,7 @@ def _read_record(path: str, url: str) -> SnapshotRecord:
     are named by a 64-bit hash prefix, so two URLs may share one."""
     try:
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = decode_json(handle.read(), path)
         if data["url"] != url:
             raise StorageFailure(f"snapshot {path} is of {data['url']!r}, not of {url!r}")
         return SnapshotRecord(
@@ -261,13 +245,6 @@ def _read_record(path: str, url: str) -> SnapshotRecord:
         )
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise StorageFailure(f"corrupt snapshot {path}: {exc}") from exc
-
-
-def token_jaccard(a: set[str], b: set[str]) -> float:
-    """Jaccard similarity of two token sets; two empty sets count as equal."""
-    if not a and not b:
-        return 1.0
-    return len(a & b) / len(a | b)
 
 
 class _MatchIndex:
@@ -314,7 +291,7 @@ def match_prior_segment(segment: Segment, snap: SnapshotRecord) -> SnapshotSegme
         if current:
             n, sizes, by_token = len(current), index.sizes, index.by_token
             overlaps = Counter(chain.from_iterable([by_token.get(t, ()) for t in current]))
-            # |a & b| / |a | b| with token_jaccard's integers, so the float is the same
+            # Jaccard |a & b| / |a | b| of the token sets, from integer counts
             candidates = [i for i, k in overlaps.items() if k / (n + sizes[i] - k) >= 0.5]
         else:
             candidates = index.empty  # two empty sets count as equal

@@ -256,6 +256,12 @@ class TestReplayProvider:
             {"entities": [{"type": "T", "name": "n", "relevance": 2.0}]},
             {"entities": [42]},
             "not json at all {",
+            {"entities": [{"type": "T", "name": 5}]},
+            {"entities": [{"type": ["T"], "name": "n"}]},
+            {"entities": [{"type": "T", "name": "n", "relevance": True}]},
+            {"entities": [{"type": "T", "name": "n", "relevance": 10**400}]},
+            "[" * 5000 + "]" * 5000,
+            b"\xff\xfe\xfa",
         ]
         for payload in cases:
             provider = ReplayProvider({text_key("x"): payload})
@@ -626,16 +632,16 @@ class TestAnnotateTexts:
         assert annotate_texts(provider, texts) == [topic(text) for text in texts]
         assert fanout_server.max_open == 4
 
-    @pytest.mark.parametrize("in_flight, workers, bound", [
-        (2, None, 2), (4, 3, 3), (2, 8, 2), (4, 1, 1)])
+    @pytest.mark.parametrize("in_flight, count, bound", [
+        (1, 2, 1), (2, 4, 2), (3, 6, 3), (4, 2, 2)])
     def test_requests_in_flight_never_exceed_the_bound(self, fanout_server,
-                                                       in_flight, workers, bound):
+                                                       in_flight, count, bound):
         # each request stays open until one more than the bound is open, or
         # for 0.2 s, so every request the client may overlap is counted
         fanout_server.hold, fanout_server.hold_s = bound + 1, 0.2
         provider = RemoteProvider(fanout_server.endpoint, in_flight=in_flight)
-        texts = [f"text {i}" for i in range(bound * 2)]
-        assert annotate_texts(provider, texts, workers) == [topic(text) for text in texts]
+        texts = [f"text {i}" for i in range(count)]
+        assert annotate_texts(provider, texts) == [topic(text) for text in texts]
         assert fanout_server.max_open == bound
         assert sum(fanout_server.seen.values()) == len(texts)
 
@@ -679,7 +685,7 @@ class TestAnnotateTexts:
                 return gazetteer_provider.annotate(text)
 
         texts = ["web search here", "nothing", "semantic ranking"]
-        found = annotate_texts(Recording(), texts, workers=4)
+        found = annotate_texts(Recording(), texts)
         assert found == [gazetteer_provider.annotate(text) for text in texts]
         assert calls == [(text, threading.get_ident()) for text in texts]
 
@@ -882,6 +888,7 @@ class TestCategoryWeights:
     @pytest.mark.parametrize("body", [
         '{"Topic": NaN}', '{"Topic": Infinity}', '{"Topic": 1e999}',
         '{"Topic": "2"}', '{"Topic": [1]}', '{"Topic": true}', '{"Topic": null}',
+        pytest.param('{"Topic": 1' + '0' * 400 + '}', id="past_float"),
     ])
     def test_from_file_rejects_non_finite_and_non_numeric(self, tmp_path, body):
         path = tmp_path / "weights.json"

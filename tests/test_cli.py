@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
+import tempfile
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import segscore.pipeline
 from segscore import (
@@ -19,8 +26,10 @@ from segscore import (
     score_page,
     score_report_html,
     segment_page,
+    text_key,
 )
 from segscore.cli import ENDPOINT_ENV, EXIT_FAILURE, EXIT_OK, main
+from segscore.scoring import DIMENSIONS
 
 from conftest import CORPUS_DIR, DATA_DIR, TINY_DIR
 
@@ -287,6 +296,15 @@ class TestScoreCommand:
         assert err.startswith("segscore:") and "got True" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("term", ["5", '["a"]', "null"])
+    def test_non_string_profile_term_fails(self, capsys, tmp_path, term):
+        bad = tmp_path / "profile.json"
+        bad.write_text(f'{{"terms": [{{"term": {term}, "weight": 0.5}}]}}', "utf-8")
+        code, out, err = run(capsys, "score", T1, "--query", "web", "--profile", str(bad))
+        assert code == EXIT_FAILURE and out == ""
+        assert err.startswith("segscore:") and "is not a string" in err
+        assert err.count("\n") == 1
+
     def test_bad_coefficients_file_fails(self, capsys, tmp_path):
         bad = tmp_path / "coeffs.json"
         bad.write_text('{"link": -1}', "utf-8")
@@ -419,6 +437,13 @@ class TestSessionStatsCommand:
         assert code == EXIT_FAILURE
         assert "expected CSV header" in err
 
+    def test_reference_that_is_not_utf8_is_an_error(self, capsys, tmp_path):
+        bad = tmp_path / "ref.csv"
+        bad.write_bytes(b"session_id,msc,msss,mcas\n\xff,1,2,3\n")
+        code, out, err = run(capsys, "session-stats", "--reference", str(bad))
+        assert code == EXIT_FAILURE
+        assert err.startswith(f"segscore: cannot read {bad}") and err.count("\n") == 1
+
     def test_corrupt_report_file_is_an_error(self, capsys, tmp_path):
         reports = tmp_path / "reports"
         reports.mkdir()
@@ -482,3 +507,111 @@ class TestTopLevel:
     def test_help_exits_cleanly(self, capsys):
         assert main(["--help"]) == EXIT_OK
         assert "segment" in capsys.readouterr().out
+
+
+# ── the CLI contract over drawn input files ─────────────────────────
+
+T4_FIRST_TEXT = segment_page(parse_html(Path(T4).read_bytes()))[0].text
+
+# One well-formed file of each kind the CLI reads.
+WELL_FORMED = {
+    "vmwt": {"h1": 4.0, "strong": 2},
+    "coeffs": {"link": 2.0, "image": 0.5},
+    "profile": {"v": 1, "owner_id": "u1", "terms": [{"term": "web", "weight": 0.5},
+                                                    {"term": "ranking", "weight": 1}]},
+    "gazetteer": {"Topic": ["web search", "semantic ranking"], "Organization": ["acme labs"]},
+    "fixtures": {text_key(T4_FIRST_TEXT): {"entities": [
+        {"type": "Topic", "name": "web search", "relevance": 0.9}, {"type": "Org", "name": "acme"}]}},
+    "report": {"v": 1, "url": "u", "query": "web", "page_score": 3.5, "flags": ["f"],
+               "segments": [{"segment_id": 0, "dimensions": dict.fromkeys(DIMENSIONS, 0.5),
+                             "delta": 3.0, "annotation": 0.5, "total": 3.5}]},
+}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+EXTREMES = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0, 1e308, 10**400, True,
+                            None, "", "Two Words", "web", [], {}])
+NOT_JSON = st.sampled_from([b"", b"{", b"\xff\xfe[]", b"[" * 5000 + b"]" * 5000,
+                            b"[1" + b"0" * 5000 + b"]"])
+
+
+def _paths(value, prefix=()):
+    """Every path of keys and indices into a JSON value, the root's first."""
+    yield prefix
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _paths(child, prefix + (key,))
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+@st.composite
+def input_files(draw):
+    """(kind, command variant, file bytes): a well-formed file of that kind,
+    or one mutated in shape, in the type or value of one part, or in its bytes."""
+    kind = draw(st.sampled_from(sorted(WELL_FORMED)))
+    value = WELL_FORMED[kind]
+    mutation = draw(st.sampled_from(["none", "shape", "type", "value", "bytes"]))
+    if mutation == "bytes":
+        return kind, draw(st.integers(0, 1)), draw(NOT_JSON)
+    if mutation == "shape":
+        value = draw(st.sampled_from([[value], list(value.values())]) | JSON_VALUES)
+    elif mutation != "none":
+        path = draw(st.sampled_from(list(_paths(value))[1:]))
+        value = _replaced(value, path, draw(JSON_VALUES if mutation == "type" else EXTREMES))
+    return kind, draw(st.integers(0, 1)), json.dumps(value).encode()
+
+
+def _argv(kind: str, variant: int, path: str) -> list[str]:
+    score = ["score", T4, "--query", "web search acme"]
+    choices = {
+        "vmwt": [["segment", T4, "--vmwt", path], score + ["--vmwt", path]],
+        "coeffs": [score + ["--coeffs", path]],
+        "profile": [score + ["--profile", path]],
+        "gazetteer": [["annotate", T4, "--gazetteer", path],
+                      score + ["--provider", "gazetteer", "--gazetteer", path]],
+        "fixtures": [["annotate", T4, "--provider", "replay", "--fixtures", path],
+                     score + ["--provider", "replay", "--fixtures", path]],
+        "report": [["session-stats", str(Path(path).parent)]],
+    }[kind]
+    return choices[variant % len(choices)]
+
+
+def _no_constant(name: str):
+    raise AssertionError(f"stdout holds {name}, which is not JSON")
+
+
+class TestCliContract:
+    @settings(max_examples=150, deadline=None)
+    @given(case=input_files())
+    @example(case=("profile", 0, b'{"terms": [{"term": 5, "weight": 0.5}]}'))
+    @example(case=("profile", 0, b'[{"term": ["a"], "weight": 0.5}]'))
+    @example(case=("report", 0, b"[]"))
+    @example(case=("fixtures", 1, json.dumps({text_key(T4_FIRST_TEXT): {
+        "entities": [{"type": "Topic", "name": 5}]}}).encode()))
+    def test_every_input_file_ends_in_exit_0_or_a_one_line_exit_2(self, case):
+        """Exit 0 writes JSON without NaN or Infinity (CSV of finite numbers for
+        session-stats); exit 2 writes exactly one line to stderr; nothing else."""
+        kind, variant, body = case
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "s1__input.json"
+            path.write_bytes(body)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(_argv(kind, variant, str(path)))
+        assert code in (EXIT_OK, EXIT_FAILURE), err.getvalue()
+        if code == EXIT_FAILURE:
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        elif kind == "report":
+            _, *rows = out.getvalue().splitlines()
+            assert all(math.isfinite(float(cell)) for row in rows for cell in row.split(",")[1:])
+        else:
+            json.loads(out.getvalue(), parse_constant=_no_constant)

@@ -85,15 +85,6 @@ class TestScorePage:
         assert all(rec.annotation == 0.0 for rec in report.segment_records)
         assert report.page_score == pytest.approx(8.0 + 6.15)
 
-    def test_worker_count_does_not_change_the_report(self, query, profile,
-                                                     gazetteer_provider):
-        html = (DATA_DIR / "corpus" / "p03_news.html").read_bytes()
-        serial = score_page(html, "u", query, profile,
-                            ScoreConfig(provider=gazetteer_provider, workers=1))
-        threaded = score_page(html, "u", query, profile,
-                              ScoreConfig(provider=gazetteer_provider, workers=4))
-        assert serial.to_json_dict() == threaded.to_json_dict()
-
     def test_empty_page_raises(self, query, profile):
         with pytest.raises(EmptyPage):
             score_page((DATA_DIR / "empty.html").read_bytes(), "u", query,
@@ -122,15 +113,15 @@ class TestRemoteAnnotation:
                       for i in range(6))
             + "<div> </div></body></html>")
 
-    def test_retried_requests_give_the_same_report_at_any_worker_count(
+    def test_retried_requests_give_the_same_report_at_any_in_flight(
             self, fanout_server, query, profile):
         fanout_server.fail_first = True  # every text: one 503, then 200
-        provider = RemoteProvider(fanout_server.endpoint, backoff=0.001)
         reports = []
-        for workers in (1, None):
+        for in_flight in (1, 4):
             fanout_server.seen.clear()
+            provider = RemoteProvider(fanout_server.endpoint, backoff=0.001, in_flight=in_flight)
             reports.append(score_page(self.PAGE, "u", query, profile,
-                                      ScoreConfig(provider=provider, workers=workers)))
+                                      ScoreConfig(provider=provider)))
         serial, fanned = reports
         assert serial.to_json_dict() == fanned.to_json_dict()
         assert serial.flags == []

@@ -21,7 +21,6 @@ from segscore import (
     parse_html,
     segment_page,
     segments_to_json,
-    text_density,
     token_fingerprint,
     tokenize,
     visible_text,
@@ -226,6 +225,7 @@ class TestEmptyAndConfig:
         '{"density_floor": false}',
         '{"density_floor": NaN}',
         '{"density_floor": -Infinity}',
+        pytest.param('{"density_floor": 1' + '0' * 400 + '}', id="density_floor_past_float"),
         '{"block_tags": "div"}',
         '{"block_tags": ["div", 3]}',
         '{"visual_tags": {"em": 1}}',
@@ -249,6 +249,12 @@ class TestEmptyAndConfig:
 
     def test_default_visual_tags_track_the_weight_table(self):
         assert DEFAULT_VISUAL_TAGS == frozenset(DEFAULT_VMWT)
+
+
+def text_density(node: DomNode) -> float:
+    """Tokens per 80-character wrap line of the subtree's visible text."""
+    text = visible_text(node)
+    return segmenter._density_of(text, tokenize(text))
 
 
 class TestDensity:

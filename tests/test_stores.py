@@ -24,10 +24,9 @@ from segscore import (
     StorageFailure,
     load_profile,
     match_prior_segment,
-    save_profile,
     token_fingerprint,
 )
-from segscore.stores import _snapshot_json, token_jaccard
+from segscore.stores import _snapshot_json
 
 from conftest import DATA_DIR
 
@@ -93,17 +92,21 @@ class TestProfileFiles:
             with pytest.raises(MalformedProfile):
                 load_profile(path)
 
-    def test_save_load_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("content", [
+        b'[{"term": 5, "weight": 0.5}]',
+        b'{"terms": [{"term": ["a"], "weight": 0.5}]}',
+        b'[{"term": null, "weight": 0.5}]',
+        pytest.param(b"\xff\xfe[]", id="not_utf8"),
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, id="nested_too_deeply"),
+        pytest.param(b'[{"term": "web", "weight": 1' + b"0" * 5000 + b"}]",
+                     id="past_the_digit_limit"),
+    ])
+    def test_non_string_terms_and_undecodable_files_are_malformed(self, tmp_path, content):
         path = tmp_path / "p.json"
-        original = Profile(owner_id="u9", terms={"web": 0.25, "ranking": 1.0})
-        save_profile(original, path)
-        assert load_profile(path) == original
-
-    def test_save_is_byte_stable_under_term_order(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        save_profile(Profile(terms={"web": 0.5, "ranking": 0.1}), a)
-        save_profile(Profile(terms={"ranking": 0.1, "web": 0.5}), b)
-        assert a.read_bytes() == b.read_bytes()
+        path.write_bytes(content)
+        with pytest.raises(MalformedProfile) as excinfo:
+            load_profile(path)
+        assert "\n" not in str(excinfo.value)
 
 
 def seg(sid: int, tokens: list[str]) -> Segment:
@@ -250,11 +253,15 @@ class TestSnapshotStore:
         with pytest.raises(StorageFailure, match="cannot list"):
             store.latest_snapshot("http://a/")
 
-    def test_corrupt_latest_snapshot_is_reported(self, tmp_path):
+    @pytest.mark.parametrize("body", [
+        pytest.param(b"{ broken", id="not_json"),
+        pytest.param(b"[" * 5000 + b"]" * 5000, id="nested_too_deeply"),
+        pytest.param(b"\xff[]", id="not_utf8")])
+    def test_corrupt_latest_snapshot_is_reported(self, tmp_path, body):
         store = SnapshotStore(tmp_path)
         store.put_snapshot(record("http://a/", T0, [["web"]]))
         directory = next(p for p in tmp_path.iterdir() if p.is_dir())
-        (directory / "99999999T999999_999999.json").write_text("{ broken", "utf-8")
+        (directory / "99999999T999999_999999.json").write_bytes(body)
         with pytest.raises(StorageFailure):
             store.latest_snapshot("http://a/")
 
@@ -270,6 +277,13 @@ class TestSnapshotStore:
         assert "\n" not in str(failure.value)
         with pytest.raises(StorageFailure, match="http://b/"):
             store.put_snapshot(record("http://a/", T0, [["web"]]))
+
+
+def token_jaccard(a: set[str], b: set[str]) -> float:
+    """Jaccard similarity of two token sets; two empty sets count as equal."""
+    if not a and not b:
+        return 1.0
+    return len(a & b) / len(a | b)
 
 
 class TestTokenJaccard:
