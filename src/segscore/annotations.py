@@ -19,7 +19,7 @@ import socket
 import threading
 import time
 import urllib.error
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from hashlib import sha256
 from pathlib import Path
@@ -138,9 +138,6 @@ class Gazetteer:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def entries(self) -> list[tuple[str, str, list[str]]]:
-        return list(self._entries)
 
     def lookup(self, tokens: Sequence[str]) -> list[tuple[str, str, list[str]]]:
         """Entries whose phrase occurs contiguously in ``tokens``, in entry order.
@@ -299,10 +296,11 @@ class RemoteProvider:
     with ProviderUnavailable; a redirect (3xx) or any other HTTP 4xx
     gives up after one attempt, and a reply without an HTTP status line
     or that does not follow the wire schema raises ProviderProtocol
-    immediately.  At most ``in_flight`` requests run concurrently.
-    ``annotate_texts`` overlaps that many: the calling thread plus a
-    pool of ``in_flight - 1`` threads, started by the first call that
-    overlaps requests and reused by every later one.
+    immediately.  A gate of ``in_flight`` tokens keeps at most that many
+    requests in flight across all threads.  ``annotate_texts`` overlaps
+    requests on the provider's pool of ``in_flight`` threads, one task
+    per text; the pool is started by the first call that overlaps
+    requests and reused by every later one.
     """
 
     provider_id = "remote"
@@ -420,12 +418,12 @@ class RemoteProvider:
                     self._tls_context = ssl.create_default_context()
         return self._tls_context
 
-    def _drain_pool(self) -> ThreadPoolExecutor:
-        """The threads ``annotate_texts`` overlaps requests on, started at first use."""
+    def _executor(self) -> ThreadPoolExecutor:
+        """The ``in_flight`` threads ``annotate_texts`` overlaps requests on, built at first use."""
         if self._pool is None:
             with self._lazy:
                 if self._pool is None:
-                    self._pool = ThreadPoolExecutor(self.in_flight - 1,
+                    self._pool = ThreadPoolExecutor(self.in_flight,
                                                     thread_name_prefix="segscore-annotate")
         return self._pool
 
@@ -447,9 +445,12 @@ def annotate_texts(
     ``tokens``, when given, holds ``tokenize(text)`` for each text; a
     provider with ``annotate_tokens`` is then handed those instead of
     the texts, and any other provider still gets the texts.  Only a
-    RemoteProvider overlaps requests: up to its ``in_flight``, on the
-    calling thread and the provider's own pool.  An error keeps only
-    its class and message; any other exception propagates.
+    RemoteProvider overlaps requests: each text is one task on the
+    provider's pool of ``in_flight`` threads, and the calling thread
+    waits for all of them.  A provider error keeps only its class and
+    message.  Any other exception propagates; when requests overlap, it
+    is raised after every text has run, and of several, the earliest
+    text's is raised.
     """
     call, items = provider.annotate, texts
     if tokens is not None:
@@ -464,47 +465,12 @@ def annotate_texts(
         except (ProviderUnavailable, ProviderProtocol) as exc:
             return type(exc)(str(exc))
 
-    threads = min(provider.in_flight, len(texts)) if isinstance(provider, RemoteProvider) else 1
-    if threads <= 1:
+    if not isinstance(provider, RemoteProvider) or min(provider.in_flight, len(texts)) < 2:
         return [one(item) for item in items]
-    return _overlapped(provider._drain_pool(), one, items, threads)
-
-
-def _overlapped(pool: ThreadPoolExecutor, one, items: Sequence, threads: int) -> list:
-    """``[one(item) for item in items]`` on the calling thread plus ``threads - 1`` of ``pool``'s.
-
-    Every drain takes item indices from one queue until it is empty, so
-    at most ``threads`` items run at once.  An exception from ``one``
-    is held until every item has run, then the one raised for the
-    earliest item is raised.  A drain that has not started by the time
-    the calling thread's drain ends is cancelled, not waited for.
-    """
-    todo: queue.SimpleQueue[int] = queue.SimpleQueue()
-    for index in range(len(items)):
-        todo.put(index)
-    results: list = [None] * len(items)
-    failures: list[Exception | None] = [None] * len(items)
-
-    def drain() -> None:
-        while True:
-            try:
-                index = todo.get_nowait()
-            except queue.Empty:
-                return
-            try:
-                results[index] = one(items[index])
-            except Exception as exc:  # raised below, once every item has run
-                failures[index] = exc
-
-    drains = [pool.submit(drain) for _ in range(threads - 1)]
-    drain()
-    for future in drains:
-        if not future.cancel():
-            future.result()
-    for exc in failures:
-        if exc is not None:
-            raise exc
-    return results
+    pool = provider._executor()
+    futures = [pool.submit(one, item) for item in items]
+    wait(futures)  # every text runs before the earliest failure is raised
+    return [future.result() for future in futures]
 
 
 def annotation_score(

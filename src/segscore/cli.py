@@ -26,7 +26,7 @@ from .annotations import (
     annotate_texts,
 )
 from .dom import DomNode, parse_html
-from .errors import EmptyPage, SegscoreError, decode_json
+from .errors import EmptyPage, SegscoreError, decode_json, finite
 from .pipeline import (
     PageReport,
     ScoreConfig,
@@ -241,6 +241,12 @@ def cmd_session_stats(args: argparse.Namespace) -> int:
             groups.setdefault(session_id, []).append(report)
         stats = [compute_session_stats(reports, session_id=sid)
                  for sid, reports in sorted(groups.items())]
+        try:  # finite scores can still sum past the float range
+            for s in stats:
+                finite(s.msss, f"msss of session {s.session_id}")
+                finite(s.mcas, f"mcas of session {s.session_id}")
+        except ValueError as exc:
+            raise CliError(f"cannot write session stats: {exc}") from exc
         _emit(session_stats_csv(stats), args.out)
     if args.reference:
         checks = reference_table_checks(_load_reference_csv(args.reference))

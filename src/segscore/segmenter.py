@@ -30,6 +30,7 @@ from urllib.parse import urlsplit
 
 from .dom import RAW_TEXT_TAGS, TEXT_TAG, DomNode, body_of
 from .errors import EmptyPage, checked, decode_json, finite
+from .scoring import DEFAULT_VMWT
 from .terms import TermVector, tokenize
 
 __all__ = [
@@ -50,10 +51,8 @@ DEFAULT_BLOCK_TAGS = frozenset({
 })
 
 # Tags whose subtree tokens are recorded as visual spans when no explicit
-# set is configured; kept equal to the default visual markup weight table.
-DEFAULT_VISUAL_TAGS = frozenset({
-    "h1", "h2", "h3", "h4", "h5", "h6", "strong", "b", "em", "i", "u",
-})
+# set is configured: those of the default visual markup weight table.
+DEFAULT_VISUAL_TAGS = frozenset(DEFAULT_VMWT)
 
 LINE_WIDTH = 80  # fixed wrap width behind the density denominator
 

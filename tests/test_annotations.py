@@ -65,9 +65,14 @@ class TestEntity:
             Entity(category="Topic", name="x", relevance=-0.1)
 
 
+def entries_of(gazetteer: Gazetteer) -> list[tuple[str, str, list[str]]]:
+    """The gazetteer's (category, phrase, phrase tokens) entries, in lookup order."""
+    return list(gazetteer._entries)
+
+
 class TestGazetteer:
     def test_entries_sort_by_category_then_file_order(self, gazetteer):
-        assert [(c, p) for c, p, _ in gazetteer.entries()] == [
+        assert [(c, p) for c, p, _ in entries_of(gazetteer)] == [
             ("Organization", "acme labs"),
             ("Topic", "semantic ranking"),
             ("Topic", "web search"),
@@ -75,7 +80,7 @@ class TestGazetteer:
 
     def test_from_file_matches_inline_construction(self, gazetteer):
         loaded = Gazetteer.from_file(DATA_DIR / "gazetteer.json")
-        assert loaded.entries() == gazetteer.entries()
+        assert entries_of(loaded) == entries_of(gazetteer)
         assert len(loaded) == 3
 
     def test_empty_phrase_rejected(self):
@@ -119,7 +124,7 @@ def brute_force_annotate(gazetteer: Gazetteer, text: str) -> list[Entity]:
     """Reference lookup: scan every entry's phrase over the whole text."""
     tokens = tokenize(text)
     return [Entity(category=category, name=phrase)
-            for category, phrase, phrase_tokens in gazetteer.entries()
+            for category, phrase, phrase_tokens in entries_of(gazetteer)
             if _has_subsequence(tokens, phrase_tokens)]
 
 
@@ -167,14 +172,14 @@ class TestGazetteerLookup:
 
     def test_lookup_returns_entries_in_gazetteer_order(self, gazetteer):
         tokens = tokenize("web search, then acme labs and semantic ranking")
-        assert gazetteer.lookup(tokens) == gazetteer.entries()
-        assert gazetteer.lookup(tuple(tokens)) == gazetteer.entries()
+        assert gazetteer.lookup(tokens) == entries_of(gazetteer)
+        assert gazetteer.lookup(tuple(tokens)) == entries_of(gazetteer)
         assert gazetteer.lookup([]) == []
 
 
 def lookup_without_precheck(gazetteer: Gazetteer, tokens) -> list[tuple[str, str, list[str]]]:
     """Reference: the indexed lookup as it was before the disjointness test."""
-    entries = gazetteer.entries()
+    entries = entries_of(gazetteer)
     index: dict[str, list[tuple[int, list[str]]]] = {}
     for position, (_, _, phrase_tokens) in enumerate(entries):
         index.setdefault(phrase_tokens[0], []).append((position, phrase_tokens))
@@ -738,18 +743,19 @@ class TestAnnotateTexts:
         provider = Recording(endpoint_of(annotation_server), in_flight=3)
         before = threading.active_count()
         annotate_texts(provider, ["first 1", "first 2", "first 3"])
-        pooled = set(served) - {threading.current_thread()}
+        pooled = set(served)
         started = threading.active_count()
-        assert len(pooled) == 2 and all(thread.is_alive() for thread in pooled)
-        assert started <= before + 2
+        assert len(pooled) == 3 and threading.current_thread() not in pooled
+        assert all(thread.is_alive() for thread in pooled)
+        assert started <= before + 3
         served.clear()
         for _ in range(3):
             annotate_texts(provider, ["again 1", "again 2", "again 3", "again 4"])
         assert len(served) == 12
-        assert set(served) <= pooled | {threading.current_thread()}
+        assert set(served) <= pooled
         assert threading.active_count() <= started
 
-    def test_drains_not_started_are_cancelled_not_waited_for(self, fanout_server):
+    def test_a_busy_pool_thread_is_not_waited_for(self, fanout_server):
         served = []
 
         class Recording(RemoteProvider):
@@ -759,13 +765,13 @@ class TestAnnotateTexts:
 
         provider = Recording(fanout_server.endpoint, in_flight=2)
         release = threading.Event()
-        # occupy the pool's only thread, so the call's one drain cannot start
-        busy = provider._drain_pool().submit(release.wait, 10)
+        # occupy one of the pool's two threads for the whole call
+        busy = provider._executor().submit(release.wait, 10)
         try:
             texts = [f"text {i}" for i in range(4)]
             assert annotate_texts(provider, texts) == [topic(text) for text in texts]
             assert not busy.done()
-            assert served == [threading.get_ident()] * 4
+            assert len(served) == 4 and len(set(served)) == 1
         finally:
             release.set()
         assert busy.result(timeout=10) is True
@@ -843,6 +849,66 @@ class TestAnnotateTexts:
     def test_no_texts_makes_no_requests(self, fanout_server):
         assert annotate_texts(RemoteProvider(fanout_server.endpoint), []) == []
         assert not fanout_server.seen
+
+
+_OUTCOMES = st.sampled_from(["entities", "unavailable", "protocol", "bug"])
+
+
+def scripted(text: str, outcome: str) -> list[Entity]:
+    """``topic(text)``, or the error ``outcome`` names."""
+    if outcome == "unavailable":
+        raise ProviderUnavailable(f"{text} unavailable")
+    if outcome == "protocol":
+        raise ProviderProtocol(f"{text} garbled")
+    if outcome == "bug":
+        raise RuntimeError(f"{text} bug")
+    return topic(text)
+
+
+def outcome_key(result) -> tuple:
+    """A result as something ``==`` compares: errors by class and message."""
+    return (type(result), str(result)) if isinstance(result, Exception) else (list, result)
+
+
+class TestAnnotateTextsEqualsSequentialLoop:
+    @given(st.lists(_OUTCOMES, max_size=40), st.integers(1, 8))
+    def test_results_or_first_error_equal_the_loop(self, outcomes, in_flight):
+        texts = [f"text {i}" for i in range(len(outcomes))]
+        plan = dict(zip(texts, outcomes))
+        lock = threading.Lock()
+        ran = Counter()
+
+        class Scripted(RemoteProvider):  # no request is made
+            def annotate(self, text):
+                with lock:
+                    ran[text] += 1
+                return scripted(text, plan[text])
+
+        expected, error = [], None
+        for text in texts:
+            try:
+                expected.append(scripted(text, plan[text]))
+            except (ProviderUnavailable, ProviderProtocol) as exc:
+                expected.append(exc)
+            except RuntimeError as exc:
+                error = exc
+                break
+        overlapped = min(in_flight, len(texts)) >= 2
+        provider = Scripted("http://127.0.0.1:9/unused", in_flight=in_flight)
+        try:
+            if error is None:
+                found = annotate_texts(provider, texts)
+                assert list(map(outcome_key, found)) == list(map(outcome_key, expected))
+            else:
+                with pytest.raises(RuntimeError) as raised:
+                    annotate_texts(provider, texts)
+                assert str(raised.value) == str(error)
+        finally:
+            if provider._pool is not None:
+                provider._pool.shutdown()
+        # the overlapped call runs every text; the loop stops at the first bug
+        every = texts if error is None or overlapped else texts[:len(expected) + 1]
+        assert ran == Counter(every)
 
 
 class TestAnnotationScore:

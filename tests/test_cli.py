@@ -472,6 +472,22 @@ class TestSessionStatsCommand:
         assert f"cannot load page report {target}: not a page report: {field} must be" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field", ["delta", "annotation"])
+    def test_statistic_that_overflows_is_an_error(self, capsys, tmp_path, field):
+        reports = tmp_path / "reports"
+        self.make_reports(capsys, reports)
+        target = reports / "s1__a.json"
+        data = json.loads(target.read_text("utf-8"))
+        for segment in data["segments"][:2]:
+            segment[field] = 1e308  # each finite, their sum is not
+        target.write_text(json.dumps(data), "utf-8")
+        code, out, err = run(capsys, "session-stats", str(reports))
+        assert code == EXIT_FAILURE
+        assert out == ""
+        name = {"delta": "msss", "annotation": "mcas"}[field]
+        assert err == (f"segscore: cannot write session stats: {name} of session s1 "
+                       "must be a finite number, got inf\n")
+
     @pytest.mark.parametrize("field, value, message", [
         ("url", 5, "url must be str"),
         ("query", None, "query must be str"),
