@@ -27,7 +27,6 @@ from typing import Mapping, Sequence
 from urllib.parse import urlsplit
 
 from .errors import ProviderProtocol, ProviderUnavailable, checked, decode_json, finite
-from .scoring import read_weight_table
 from .terms import WeightedTermSet, match_score, tokenize
 
 __all__ = [
@@ -71,24 +70,17 @@ class AnnotationSet:
 
 @dataclass(frozen=True)
 class CategoryWeights:
-    """Category -> weight used by the annotation score; unlisted = 1.0."""
+    """Category -> annotation score weight, set in code; unlisted categories weigh 1.0."""
 
     weights: dict[str, float] = field(default_factory=dict)
-    default: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.default < 0:
-            raise ValueError("default category weight must be >= 0")
         for category, weight in self.weights.items():
             if weight < 0:
                 raise ValueError(f"category weight for {category!r} must be >= 0")
 
     def weight(self, category: str) -> float:
-        return self.weights.get(category, self.default)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "CategoryWeights":
-        return cls(weights=read_weight_table(path, "category weights"))
+        return self.weights.get(category, 1.0)
 
 
 # ── gazetteer ───────────────────────────────────────────────────────

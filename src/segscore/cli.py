@@ -202,18 +202,12 @@ def _load_reference_csv(path: str) -> list[SessionStats]:
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     reader = csv.DictReader(io.StringIO(text))
-    required = {"session_id", "msc", "msss", "mcas"}
-    if reader.fieldnames is None or not required <= set(reader.fieldnames):
+    columns = ("msc", "msss", "mcas")  # SessionStats fields after session_id
+    if reader.fieldnames is None or not {"session_id", *columns} <= set(reader.fieldnames):
         raise CliError(f"{path}: expected CSV header session_id,msc,msss,mcas")
-    stats = []
     try:
-        for row in reader:
-            stats.append(SessionStats(
-                session_id=row["session_id"],
-                msc=float(row["msc"]),
-                msss=float(row["msss"]),
-                mcas=float(row["mcas"]),
-            ))
+        stats = [SessionStats(row["session_id"], *(finite(float(row[c]), c) for c in columns))
+                 for row in reader]
     except (TypeError, ValueError) as exc:
         raise CliError(f"{path}: bad session stats row: {exc}") from exc
     if not stats:
@@ -250,6 +244,11 @@ def cmd_session_stats(args: argparse.Namespace) -> int:
         _emit(session_stats_csv(stats), args.out)
     if args.reference:
         checks = reference_table_checks(_load_reference_csv(args.reference))
+        try:  # finite cells can still sum past the float range
+            finite(checks.msss_mean, "msss mean")
+            finite(checks.mcas_mean, "mcas mean")
+        except ValueError as exc:
+            raise CliError(f"cannot check {args.reference}: {exc}") from exc
         for line in checks.lines():
             print(line, file=sys.stderr)
     return EXIT_OK

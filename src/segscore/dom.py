@@ -145,20 +145,6 @@ class _TreeBuilder(HTMLParser):
         self.root.children = [self.head, self.body]
         self._stack: list[DomNode] = [self.root]
         self._body_seen = False
-        self._raw_depth = 0
-
-    # ── stack plumbing ──────────────────────────────────────────────
-
-    def _push(self, node: DomNode) -> None:
-        self._stack.append(node)
-        if node.tag in RAW_TEXT_TAGS:
-            self._raw_depth += 1
-
-    def _pop(self) -> DomNode:
-        node = self._stack.pop()
-        if node.tag in RAW_TEXT_TAGS:
-            self._raw_depth -= 1
-        return node
 
     def _enter_body(self) -> None:
         if self._stack[-1] is self.root:
@@ -181,27 +167,27 @@ class _TreeBuilder(HTMLParser):
                 self.head.children.append(node)
                 if tag not in VOID_TAGS:
                     stack.append(self.head)
-                    self._push(node)
+                    stack.append(node)
                 return
         elif top is self.head and tag not in _HEAD_ALLOWED:
             # Body content arriving while <head> is the open element
             # closes the head, browser-style.
-            self._pop()
+            stack.pop()
 
         # Implied end tags.
         close = _IMPLIED_CLOSE.get(tag)
         if close:
             while stack[-1].tag in close:
-                self._pop()
+                stack.pop()
         if tag in _P_CLOSERS:
             while stack[-1].tag == "p":
-                self._pop()
+                stack.pop()
 
         self._enter_body()
         node = DomNode(tag, _attr_dict(attrs)) if attrs else DomNode(tag)
         stack[-1].children.append(node)
         if tag not in VOID_TAGS:
-            self._push(node)
+            stack.append(node)
 
     def _skeleton_starttag(self, tag, attrs):
         if tag == "html":
@@ -217,7 +203,7 @@ class _TreeBuilder(HTMLParser):
                 self.body.attrs.setdefault(k, v or "")
             if not self._body_seen:
                 while len(self._stack) > 1:
-                    self._pop()
+                    self._stack.pop()
                 self._stack.append(self.body)
                 self._body_seen = True
 
@@ -231,22 +217,32 @@ class _TreeBuilder(HTMLParser):
         while i and stack[i].tag != tag:
             i -= 1
         while i and len(stack) > i:
-            self._pop()
+            stack.pop()
 
     def handle_startendtag(self, tag, attrs):
         self.handle_starttag(tag, attrs)
         if tag not in VOID_TAGS:
             self.handle_endtag(tag)
 
+    def parse_marked_section(self, i, report=1):
+        # Older releases (3.11, for one) raise on a "<![" with no known keyword; newer
+        # ones read it as HTML5 does: a bogus comment up to the next ">", or to the end.
+        try:
+            return super().parse_marked_section(i, report)
+        except AssertionError:
+            end = self.rawdata.find(">", i + 3)
+            return len(self.rawdata) if end < 0 else end + 1
+
     def handle_data(self, data):
-        if self._raw_depth or not data:
-            return
+        # html.parser reports no tag inside script or style: their text comes with them on top
         top = self._stack[-1]
+        if top.tag in RAW_TEXT_TAGS or not data:
+            return
         if top is self.root or top is self.head:
             if not data.strip():
                 return  # inter-element whitespace outside body
             if top is self.head:
-                self._pop()
+                self._stack.pop()
             self._enter_body()
             top = self._stack[-1]
         children = top.children

@@ -25,11 +25,10 @@ import math
 from dataclasses import dataclass, field
 from hashlib import blake2b
 from itertools import chain
-from pathlib import Path
 from urllib.parse import urlsplit
 
 from .dom import RAW_TEXT_TAGS, TEXT_TAG, DomNode, body_of
-from .errors import EmptyPage, checked, decode_json, finite
+from .errors import EmptyPage
 from .scoring import DEFAULT_VMWT
 from .terms import TermVector, tokenize
 
@@ -77,28 +76,6 @@ class SegmentationConfig:
             raise ValueError("max_tokens must exceed min_tokens")
         if self.density_floor < 0:
             raise ValueError("density_floor must be >= 0")
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "SegmentationConfig":
-        """Load overrides from a flat JSON object; absent keys keep defaults."""
-        data = decode_json(Path(path).read_text("utf-8"), path)
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}: segmentation config must be a JSON object")
-        return cls(**{key: check(data[key], f"{path}: {key}")
-                      for key, check in _FILE_FIELDS.items() if key in data})
-
-
-def _tag_set(value: object, what: str) -> frozenset[str]:
-    return frozenset(checked(tag, str, f"{what} entry") for tag in checked(value, list, what))
-
-
-def _integer(value: object, what: str) -> int:
-    return checked(value, int, what)
-
-
-# the checker of each SegmentationConfig field a config file may set
-_FILE_FIELDS = {"block_tags": _tag_set, "visual_tags": _tag_set, "min_tokens": _integer,
-                "max_tokens": _integer, "density_floor": finite}
 
 
 @dataclass
@@ -296,11 +273,9 @@ def _group_candidates(
     elem: DomNode,
     path: tuple[int, ...],
     block_tags: frozenset[str],
-    memo: dict[int, bool] | None = None,
-    visual_tags: frozenset[str] = DEFAULT_VISUAL_TAGS,
+    memo: dict[int, bool],
+    visual_tags: frozenset[str],
 ) -> list[_Candidate]:
-    if memo is None:
-        memo = {}
     cands: list[_Candidate] = []
     run: list[tuple[tuple[int, ...], DomNode]] = []
 

@@ -935,38 +935,18 @@ class TestAnnotationScore:
 
     def test_unlisted_category_uses_default_weight(self):
         ann = self.build([Entity(category="Other", name="web")])
-        weights = CategoryWeights(weights={"Topic": 2.0}, default=0.5)
-        assert annotation_score(ann, FUSED_TERMS, weights) == pytest.approx(0.5)
+        weights = CategoryWeights(weights={"Topic": 2.0})
+        assert weights.weight("Other") == 1.0
+        assert annotation_score(ann, FUSED_TERMS, weights) == pytest.approx(1.0)
 
     def test_no_entities_scores_zero(self):
         assert annotation_score(self.build([]), FUSED_TERMS, CategoryWeights()) == 0.0
 
 
 class TestCategoryWeights:
-    def test_from_file_flat_object(self, tmp_path):
-        path = tmp_path / "weights.json"
-        path.write_text('{"Topic": 2.0, "Organization": 0.25}', "utf-8")
-        weights = CategoryWeights.from_file(path)
-        assert weights.weight("Topic") == 2.0
-        assert weights.weight("Organization") == 0.25
-        assert weights.weight("Unseen") == 1.0
-
-    @pytest.mark.parametrize("body", [
-        '{"Topic": NaN}', '{"Topic": Infinity}', '{"Topic": 1e999}',
-        '{"Topic": "2"}', '{"Topic": [1]}', '{"Topic": true}', '{"Topic": null}',
-        pytest.param('{"Topic": 1' + '0' * 400 + '}', id="past_float"),
-    ])
-    def test_from_file_rejects_non_finite_and_non_numeric(self, tmp_path, body):
-        path = tmp_path / "weights.json"
-        path.write_text(body, "utf-8")
-        with pytest.raises(ValueError, match="finite number"):
-            CategoryWeights.from_file(path)
-
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             CategoryWeights(weights={"Topic": -1.0})
-        with pytest.raises(ValueError):
-            CategoryWeights(default=-0.5)
 
 
 def test_phrase_set_from_standard_fixture(gazetteer_provider):

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import math
+import random
 import tempfile
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -32,6 +33,7 @@ from segscore.cli import ENDPOINT_ENV, EXIT_FAILURE, EXIT_OK, main
 from segscore.scoring import DIMENSIONS
 
 from conftest import CORPUS_DIR, DATA_DIR, TINY_DIR
+from genhtml import random_document
 
 T1 = str(TINY_DIR / "t1_links.html")
 T3 = str(TINY_DIR / "t3_visual.html")
@@ -444,6 +446,21 @@ class TestSessionStatsCommand:
         assert code == EXIT_FAILURE
         assert err.startswith(f"segscore: cannot read {bad}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("rows, message", [
+        pytest.param("s1,nan,inf,nan", "row: msc must be a finite number, got nan", id="nan"),
+        pytest.param("s1,1,inf,1", "row: msss must be a finite number, got inf", id="inf"),
+        pytest.param("s1,1,2,-1e999", "row: mcas must be a finite number, got -inf",
+                     id="past_float"),
+        pytest.param("s1,1,1e308,1\ns2,1,1e308,1", "msss mean must be a finite number, got inf",
+                     id="mean_past_float"),
+    ])
+    def test_non_finite_reference_statistic_is_an_error(self, capsys, tmp_path, rows, message):
+        bad = tmp_path / "ref.csv"
+        bad.write_text(f"session_id,msc,msss,mcas\n{rows}\n", "utf-8")
+        code, out, err = run(capsys, "session-stats", "--reference", str(bad))
+        assert code == EXIT_FAILURE
+        assert message in err and err.count("\n") == 1
+
     def test_corrupt_report_file_is_an_error(self, capsys, tmp_path):
         reports = tmp_path / "reports"
         reports.mkdir()
@@ -551,6 +568,14 @@ EXTREMES = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0, 1e308, 10**4
                             None, "", "Two Words", "web", [], {}])
 NOT_JSON = st.sampled_from([b"", b"{", b"\xff\xfe[]", b"[" * 5000 + b"]" * 5000,
                             b"[1" + b"0" * 5000 + b"]"])
+# Byte edits to a generated page: openers of markup the scanner leaves to
+# html.parser, NUL, bytes that are not UTF-8, and (None) a deletion.
+PAGE_EDITS = st.sampled_from([b"<![", b"<?", b"<script>", b"</", b"\x00", b"\xff\xfe", None])
+# A well-formed reference CSV, and what one of its cells may become.
+REFERENCE_ROWS = [["session_id", "msc", "msss", "mcas"], ["s1", "12", "11.87", "8.91"],
+                  ["s2", "9", "11.87", "8.91"]]
+REFERENCE_CELLS = st.sampled_from(["nan", "inf", "-inf", "1e308", "1e999", "-1", "0", "",
+                                   "x", " 2 ", "1_0"])
 
 
 def _paths(value, prefix=()):
@@ -570,10 +595,39 @@ def _replaced(value, path, new):
 
 
 @st.composite
+def page_files(draw) -> bytes:
+    """A tests/genhtml.py page with 0 to 8 byte edits."""
+    page = random_document(random.Random(draw(st.integers(0, 2**16)))).encode()
+    for _ in range(draw(st.integers(0, 8))):
+        at = draw(st.integers(0, len(page)))
+        edit = draw(PAGE_EDITS)
+        end = at + draw(st.integers(1, 40)) if edit is None else at
+        page = page[:at] + (edit or b"") + page[end:]
+    return page
+
+
+@st.composite
+def reference_files(draw) -> bytes:
+    """The reference CSV with 0 to 3 of its cells each replaced by 0 to 2 cells."""
+    rows = [list(row) for row in REFERENCE_ROWS]
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.sampled_from(rows))
+        if row:
+            at = draw(st.integers(0, len(row) - 1))
+            row[at:at + 1] = draw(st.lists(REFERENCE_CELLS, max_size=2))
+    return "".join(",".join(row) + "\n" for row in rows).encode()
+
+
+@st.composite
 def input_files(draw):
     """(kind, command variant, file bytes): a well-formed file of that kind,
-    or one mutated in shape, in the type or value of one part, or in its bytes."""
-    kind = draw(st.sampled_from(sorted(WELL_FORMED)))
+    or one mutated in shape, in the type or value of one part, or in its bytes;
+    or an edited page, or an edited reference CSV."""
+    kind = draw(st.sampled_from(sorted([*WELL_FORMED, "page", "reference"])))
+    if kind == "page":
+        return kind, draw(st.integers(0, 4)), draw(page_files())
+    if kind == "reference":
+        return kind, 0, draw(reference_files())
     value = WELL_FORMED[kind]
     mutation = draw(st.sampled_from(["none", "shape", "type", "value", "bytes"]))
     if mutation == "bytes":
@@ -588,7 +642,12 @@ def input_files(draw):
 
 def _argv(kind: str, variant: int, path: str) -> list[str]:
     score = ["score", T4, "--query", "web search acme"]
+    scored = ["score", path, "--query", "web search acme", "--provider", "gazetteer",
+              "--gazetteer", GAZETTEER, "--snapshots", str(Path(path).parent / "snapshots")]
     choices = {
+        "page": [["segment", path], ["segment", path, "--format", "html"], scored,
+                 scored + ["--format", "html"], ["annotate", path, "--gazetteer", GAZETTEER]],
+        "reference": [["session-stats", "--reference", path]],
         "vmwt": [["segment", T4, "--vmwt", path], score + ["--vmwt", path]],
         "coeffs": [score + ["--coeffs", path]],
         "profile": [score + ["--profile", path]],
@@ -606,28 +665,41 @@ def _no_constant(name: str):
 
 
 class TestCliContract:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(case=input_files())
     @example(case=("profile", 0, b'{"terms": [{"term": 5, "weight": 0.5}]}'))
     @example(case=("profile", 0, b'[{"term": ["a"], "weight": 0.5}]'))
     @example(case=("report", 0, b"[]"))
     @example(case=("fixtures", 1, json.dumps({text_key(T4_FIRST_TEXT): {
         "entities": [{"type": "Topic", "name": 5}]}}).encode()))
+    @example(case=("page", 0, b"<p>hi</p><![Cx[y"))
+    @example(case=("page", 3, b"<p>a</p><![ x>b<p>c</p>"))
+    @example(case=("reference", 0, b"session_id,msc,msss,mcas\ns1,nan,inf,nan\n"))
     def test_every_input_file_ends_in_exit_0_or_a_one_line_exit_2(self, case):
-        """Exit 0 writes JSON without NaN or Infinity (CSV of finite numbers for
-        session-stats); exit 2 writes exactly one line to stderr; nothing else."""
+        """Exit 0 writes JSON without NaN or Infinity (a whole HTML document
+        for --format html, CSV of finite numbers for session-stats, and three
+        check lines with finite means for --reference); exit 2 writes exactly
+        one line to stderr; nothing else."""
         kind, variant, body = case
         with tempfile.TemporaryDirectory() as scratch:
             path = Path(scratch) / "s1__input.json"
             path.write_bytes(body)
+            argv = _argv(kind, variant, str(path))
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(_argv(kind, variant, str(path)))
+                code = main(argv)
         assert code in (EXIT_OK, EXIT_FAILURE), err.getvalue()
         if code == EXIT_FAILURE:
             assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
         elif kind == "report":
             _, *rows = out.getvalue().splitlines()
             assert all(math.isfinite(float(cell)) for row in rows for cell in row.split(",")[1:])
+        elif kind == "reference":
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 3
+            assert all(math.isfinite(float(line.split()[2])) for line in lines[:2]), lines
+        elif "html" in argv:
+            assert out.getvalue().startswith("<!doctype html>")
+            assert out.getvalue().endswith("</html>")
         else:
             json.loads(out.getvalue(), parse_constant=_no_constant)

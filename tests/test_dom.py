@@ -134,6 +134,14 @@ class TestInvisibleContent:
         body = body_of(parse_html("<div><!-- hidden -->seen</div>"))
         assert visible_text(body) == "seen"
 
+    @pytest.mark.parametrize("text, texts", [
+        ("<p>hi</p><![Cx[y]]>tail<p>after</p>", ["hi", "tail", "after"]),
+        ("<p>a</p><![ x>b<p>c</p>", ["a", "b", "c"]),
+        ("<p>hi</p><![Cx[y", ["hi"]),
+    ])
+    def test_unnamed_marked_section_is_dropped_up_to_the_next_gt(self, text, texts):
+        assert visible_text(body_of(parse_html(text))).split("\n") == texts
+
 
 class TestTextHandling:
     def test_entities_decode_and_text_coalesces(self):

@@ -234,6 +234,21 @@ class TestTables:
         with pytest.raises(ValueError):
             DimensionCoefficients.from_file(bad)
 
+    @pytest.mark.parametrize("loader, name", [
+        pytest.param(Vmwt.from_file, "h1", id="vmwt"),
+        pytest.param(DimensionCoefficients.from_file, "link", id="coeffs"),
+    ])
+    @pytest.mark.parametrize("value", [
+        "NaN", "Infinity", "1e999", '"2"', "[1]", "true", "null",
+        pytest.param("1" + "0" * 400, id="past_float"),
+    ])
+    def test_weight_file_rejects_non_finite_and_non_numeric(self, tmp_path, loader, name,
+                                                            value):
+        path = tmp_path / "weights.json"
+        path.write_text(f'{{"{name}": {value}}}', "utf-8")
+        with pytest.raises(ValueError, match="finite number"):
+            loader(path)
+
     def test_negative_coefficient_rejected(self):
         with pytest.raises(ValueError):
             DimensionCoefficients(theme=-0.5)

@@ -30,7 +30,6 @@ from segscore.dom import RAW_TEXT_TAGS, TEXT_TAG, DomNode
 from segscore.reports import resolve_path
 from segscore.scoring import DEFAULT_VMWT
 from segscore.segmenter import (
-    DEFAULT_BLOCK_TAGS,
     DEFAULT_VISUAL_TAGS,
     LINE_WIDTH,
     Segment,
@@ -208,45 +207,6 @@ class TestEmptyAndConfig:
         with pytest.raises(ValueError):
             SegmentationConfig(density_floor=-0.1)
 
-    def test_config_from_file_merges_overrides(self):
-        cfg = SegmentationConfig.from_file(DATA_DIR / "segconfig.json")
-        assert cfg.min_tokens == 5
-        assert cfg.max_tokens == 300
-        assert cfg.density_floor == 1.5
-        assert cfg.block_tags == DEFAULT_BLOCK_TAGS
-
-    @pytest.mark.parametrize("body", [
-        '{"min_tokens": "x"}',
-        '{"min_tokens": 5.0}',
-        '{"max_tokens": true}',
-        '{"max_tokens": 1e400}',
-        '{"density_floor": null}',
-        '{"density_floor": "2"}',
-        '{"density_floor": false}',
-        '{"density_floor": NaN}',
-        '{"density_floor": -Infinity}',
-        pytest.param('{"density_floor": 1' + '0' * 400 + '}', id="density_floor_past_float"),
-        '{"block_tags": "div"}',
-        '{"block_tags": ["div", 3]}',
-        '{"visual_tags": {"em": 1}}',
-        '{"visual_tags": null}',
-    ])
-    def test_config_from_file_rejects_mistyped_values(self, tmp_path, body):
-        path = tmp_path / "seg.json"
-        path.write_text(body, "utf-8")
-        with pytest.raises(ValueError) as excinfo:
-            SegmentationConfig.from_file(path)
-        assert "\n" not in str(excinfo.value)
-
-    def test_config_from_file_accepts_tag_lists_and_integral_floor(self, tmp_path):
-        path = tmp_path / "seg.json"
-        path.write_text('{"block_tags": ["div", "p"], "visual_tags": [], "density_floor": 3}',
-                        "utf-8")
-        cfg = SegmentationConfig.from_file(path)
-        assert cfg.block_tags == frozenset({"div", "p"})
-        assert cfg.visual_tags == frozenset()
-        assert cfg.density_floor == 3
-
     def test_default_visual_tags_track_the_weight_table(self):
         assert DEFAULT_VISUAL_TAGS == frozenset(DEFAULT_VMWT)
 
@@ -384,7 +344,7 @@ def _ref_split(cand, cfg):
     path, elem = cand.nodes[0]
     if len(tokenize(_ref_cand_text(cand))) <= cfg.max_tokens:
         return None
-    subs = _group_candidates(elem, path, cfg.block_tags)
+    subs = _group_candidates(elem, path, cfg.block_tags, {}, DEFAULT_VISUAL_TAGS)
     if len(subs) < 2 or not any(s.is_block for s in subs):
         return None
     densities = [_ref_density_of(_ref_cand_text(s)) for s in subs]
@@ -448,7 +408,8 @@ def reference_segment_page(dom, cfg: SegmentationConfig | None = None) -> list[S
     if not visible_text(body).strip():
         raise EmptyPage("page body has no visible text")
     bpath = () if body is dom else (dom.children.index(body),)
-    flat = _ref_partitioned(_group_candidates(body, bpath, cfg.block_tags), cfg)
+    flat = _ref_partitioned(_group_candidates(body, bpath, cfg.block_tags, {}, DEFAULT_VISUAL_TAGS),
+                            cfg)
     groups: list[list] = []
     for cand in flat:
         if groups and len(tokenize(_ref_cand_text(cand))) < cfg.min_tokens:
