@@ -15,8 +15,6 @@ import json
 import os
 import sys
 from pathlib import Path
-from urllib.error import URLError
-from urllib.request import urlopen
 
 from .annotations import (
     Gazetteer,
@@ -58,10 +56,12 @@ class CliError(Exception):
 
 def _read_input(source: str) -> bytes:
     if source.startswith(("http://", "https://")):
+        from urllib.request import urlopen  # only URL input pays for importing it
+
         try:
             with urlopen(source, timeout=FETCH_TIMEOUT) as response:
                 body = response.read(FETCH_MAX_BYTES + 1)
-        except (URLError, OSError) as exc:
+        except OSError as exc:  # urllib.error.URLError included
             raise CliError(f"cannot fetch {source}: {exc}") from exc
         if len(body) > FETCH_MAX_BYTES:
             raise CliError(f"cannot fetch {source}: body exceeds {FETCH_MAX_BYTES} bytes")

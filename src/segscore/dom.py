@@ -11,54 +11,35 @@ Comments, processing instructions and doctypes are dropped entirely, and
 script/style content never produces text nodes, so visible text can be
 read straight off the tree.
 
-Two tokenizers feed the same tree builder.  The fast path, ``_scan``,
-reads the document with one compiled regex and models only the forms
-that every supported ``html.parser`` release tokenizes alike:
-
-- text runs, with character references resolved;
-- start tags ``<name attr attr=value attr="v" attr='v'>`` and ``<name/>``,
-  separated by ASCII whitespace, with an unquoted value that does not
-  start with a quote or ``=``, and character references in values
-  resolved as the running release's ``html.parser`` resolves them;
-- end tags ``</name>``, with optional ASCII whitespace before the ``>``;
-- comments ``<!-- ... -->`` whose body holds no ``--`` and does not
-  start with ``>`` or ``->``, and ``<!doctype ...>``;
-- ``<title>`` and ``<textarea>`` whose content holds no ``<`` and no
-  ``&`` up to a plain end tag, which is one text run whether or not the
-  release reads these elements as escapable raw text (RCDATA).
-
-Anything else sends the whole document to ``html.parser``: a ``<`` that
-opens no such form (``<?``, other ``<!`` markup, a stray or unterminated
-``<``), any element whose content ``html.parser`` reads as raw text
-(``HTMLParser.CDATA_CONTENT_ELEMENTS``, such as script and style, and
-``<plaintext>``), and, on releases that define
-``RCDATA_CONTENT_ELEMENTS``, any other form of title or textarea.  The
-choice is all or nothing: a partial fast-path tree is discarded.  The
-contract is the differential test in ``tests/test_dom.py``: both paths
-build equal trees.
+One tokenizer, ``_scan``, reads every document, the way CPython 3.13.13's
+``html.parser`` applies the WHATWG tokenizer
+(https://html.spec.whatwg.org/multipage/parsing.html#tokenization), so
+every interpreter builds the same tree.  Tag names run up to ASCII
+whitespace, ``/`` or ``>``; attribute values resolve character references
+by the HTML5 attribute rule (``&copy=2`` stays as written).  Script,
+style, xmp, iframe, noembed and noframes hold raw text up to their end
+tag, title and textarea hold text with references resolved, and
+``<plaintext>`` makes the rest of the document text.  A comment ends at
+``-->`` or ``--!>`` (or is ``<!-->`` when none follows), ``<![CDATA[`` at
+``]]>``, and any other ``<!``, ``<?`` or ``</`` + non-letter at the next
+``>``; a ``<`` that opens none of these is text.  At the end of the input
+an unterminated construct is dropped, but a final ``</`` is text.  The
+contract is the differential test in ``tests/test_dom.py``, against a
+copy of that ``html.parser``.
 """
 
 from __future__ import annotations
 
-import html.parser
 import re
 from dataclasses import dataclass, field
 from html import unescape
-from html.parser import HTMLParser
+from html.entities import html5
 
 from .errors import MalformedInput
 
 __all__ = [
-    "DomNode",
-    "TEXT_TAG",
-    "VOID_TAGS",
-    "RAW_TEXT_TAGS",
-    "parse_html",
-    "iter_nodes",
-    "visible_text",
-    "body_of",
-    "find_first",
-    "page_title_tokens",
+    "DomNode", "TEXT_TAG", "VOID_TAGS", "RAW_TEXT_TAGS", "parse_html", "iter_nodes",
+    "visible_text", "body_of", "find_first", "page_title_tokens",
 ]
 
 TEXT_TAG = "#text"
@@ -82,21 +63,14 @@ _P_CLOSERS = frozenset({
 
 # Start tag -> open tags it implicitly closes (applied to the stack top).
 _IMPLIED_CLOSE: dict[str, frozenset[str]] = {
-    "li": frozenset({"li"}),
-    "dt": frozenset({"dt", "dd"}),
-    "dd": frozenset({"dt", "dd"}),
-    "tr": frozenset({"tr", "td", "th"}),
-    "td": frozenset({"td", "th"}),
-    "th": frozenset({"td", "th"}),
-    "thead": frozenset({"thead", "tbody", "tfoot", "tr", "td", "th"}),
-    "tbody": frozenset({"thead", "tbody", "tfoot", "tr", "td", "th"}),
-    "tfoot": frozenset({"thead", "tbody", "tfoot", "tr", "td", "th"}),
-    "option": frozenset({"option"}),
+    "li": frozenset({"li"}), "a": frozenset({"a"}), "option": frozenset({"option"}),
     "optgroup": frozenset({"option", "optgroup"}),
-    "a": frozenset({"a"}),
+    "dt": frozenset({"dt", "dd"}), "dd": frozenset({"dt", "dd"}),
+    "tr": frozenset({"tr", "td", "th"}), "td": frozenset({"td", "th"}), "th": frozenset({"td", "th"}),
+    **dict.fromkeys(("thead", "tbody", "tfoot"),
+                    frozenset({"thead", "tbody", "tfoot", "tr", "td", "th"})),
+    **dict.fromkeys(_HEADINGS, _HEADINGS),
 }
-for _h in _HEADINGS:
-    _IMPLIED_CLOSE[_h] = _HEADINGS
 
 # Tags that belong in <head> when they appear before any body content.
 _HEAD_ONLY_TAGS = frozenset({"title", "meta", "link", "base", "style"})
@@ -136,9 +110,8 @@ def _attr_dict(attrs: list[tuple[str, str | None]]) -> dict[str, str]:
     return out
 
 
-class _TreeBuilder(HTMLParser):
+class _TreeBuilder:
     def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
         self.root = DomNode("html")
         self.head = DomNode("head")
         self.body = DomNode("body")
@@ -224,17 +197,8 @@ class _TreeBuilder(HTMLParser):
         if tag not in VOID_TAGS:
             self.handle_endtag(tag)
 
-    def parse_marked_section(self, i, report=1):
-        # Older releases (3.11, for one) raise on a "<![" with no known keyword; newer
-        # ones read it as HTML5 does: a bogus comment up to the next ">", or to the end.
-        try:
-            return super().parse_marked_section(i, report)
-        except AssertionError:
-            end = self.rawdata.find(">", i + 3)
-            return len(self.rawdata) if end < 0 else end + 1
-
     def handle_data(self, data):
-        # html.parser reports no tag inside script or style: their text comes with them on top
+        # the tokenizer reports no tag inside script or style: their text comes with them on top
         top = self._stack[-1]
         if top.tag in RAW_TEXT_TAGS or not data:
             return
@@ -252,97 +216,128 @@ class _TreeBuilder(HTMLParser):
             children.append(DomNode(TEXT_TAG, text=data))
 
 
-# ── the one-pass scanner ────────────────────────────────────────────
+# ── the tokenizer ───────────────────────────────────────────────────
 
-# Elements whose content html.parser does not tokenize as markup, read
-# from the running release, so a change there moves the fallback line:
-# raw text (script, style, ...), plus <plaintext>, which releases that
-# define RCDATA_CONTENT_ELEMENTS treat as raw text without listing it;
-# and, where defined, RCDATA (title, textarea).
-_RAW_TEXT = frozenset(HTMLParser.CDATA_CONTENT_ELEMENTS) | {"plaintext"}
-_RAW_CONTENT = _RAW_TEXT | frozenset(getattr(HTMLParser, "RCDATA_CONTENT_ELEMENTS", ()))
-# The scan never models raw text; searching for it first spares a page
-# with a script at its end a scan up to it in vain.  The search also
-# matches longer names, which only costs those pages the fast path.
-_RAW_TEXT_START = re.compile("<(?:%s)" % "|".join(sorted(_RAW_TEXT)), re.IGNORECASE)
+# Elements whose content is text up to their end tag (<plaintext>: to the
+# end of the input), kept as written or, for RCDATA, with references resolved.
+_VERBATIM_TAGS = frozenset({"script", "style", "xmp", "iframe", "noembed", "noframes",
+                            "plaintext"})
+_RCDATA_TAGS = frozenset({"title", "textarea"})
 
-_WS = r"[ \t\n\r\f]"  # the only whitespace every html.parser release agrees on
-# Names stop short of every character on which releases differ: other
-# whitespace, controls, quotes, "/", "<", "=" and ">".
-_NAME_CHAR = r"""[^\s\x00-\x1f\x7f"'/<=>]"""
-_BARE_VALUE = r"""[^\s"'=>][^\s>]*"""
-_ATTR = rf"""{_NAME_CHAR}+(?:{_WS}*={_WS}*(?:"[^"]*"|'[^']*'|{_BARE_VALUE}))?"""
+# A start tag of one of those elements; it finds some inside comments or
+# attribute values too, which _scan skips.  No non-ASCII letter lowercases
+# into these names.  The first-letter lookahead spares most "<" the names.
+_TEXT_ELEMENT_START = re.compile(
+    r"<(?=[iInNpPsStTxX])(%s)(?=[\t\n\r\f />])" % "|".join(sorted(_VERBATIM_TAGS | _RCDATA_TAGS)),
+    re.IGNORECASE | re.ASCII)
+_END_TAG = {tag: re.compile(r"</%s(?=[\t\n\r\f />])" % tag, re.IGNORECASE | re.ASCII)
+            for tag in (_VERBATIM_TAGS | _RCDATA_TAGS) - {"plaintext"}}
 
-_TOKEN = re.compile(
-    r"([^<]+)"                                                    # 1 text
-    # A title or textarea whose content holds no "<" or "&" up to its end
-    # tag: one text run whether or not the release reads it as RCDATA.
-    rf"|<(?i:(title|textarea))((?:{_WS}+{_ATTR})*){_WS}*>"          # 2 name, 3 attrs
-    rf"([^<&]*)</(?i:\2){_WS}*>"                                  # 4 content
-    rf"|<([a-zA-Z]{_NAME_CHAR}*)((?:{_WS}+{_ATTR})*){_WS}*(/?)>"    # 5 name, 6 attrs, 7 "/"
-    rf"|</([a-zA-Z]{_NAME_CHAR}*){_WS}*>"                          # 8 end tag
-    r"|<!--(?!-?>)(?:[^-]|-(?!-))*-->"                            # comment
-    r"|<![dD][oO][cC][tT][yY][pP][eE][^>]*>"                      # doctype
-    r"|(<)"                                                       # 9 unmodelled
-)
+# One attribute, with the separators before it: a name starts after a
+# quote, a space or "/" (so "=" can open one), then maybe "=" and a value.
+_ATTR = (r"""[\t\n\r\f /]*(?<=['"\t\n\r\f /])([^\t\n\r\f />][^\t\n\r\f /=>]*)"""
+         r"""(?:[\t\n\r\f ]*(=)[\t\n\r\f ]*(?:'([^']*)'|"([^"]*)"|(?!['"])([^\t\n\r\f >]*)%s))?""")
+_ATTR_PARTS = re.compile(_ATTR % "")
 
-# How html.parser resolves character references in attribute values.
-# Releases that apply HTML5's attribute rule (``&ltimg`` stays as it is)
-# define this function; older ones unescape values as they do text.
-_unescape_attr = getattr(html.parser, "_unescape_attrvalue", unescape)
 
-# _ATTR again, with groups: name, "=", and the three kinds of value.
-_ATTR_PARTS = re.compile(
-    rf"""({_NAME_CHAR}+)(?:{_WS}*(=){_WS}*(?:"([^"]*)"|'([^']*)'|({_BARE_VALUE})))?""")
+def _token_regex(more_values: str, more_comments: str) -> re.Pattern:
+    attr = re.sub(r"\((?!\?)", "(?:", _ATTR % more_values)  # _ATTR without groups
+    return re.compile(
+        r"([^<]+|<(?![a-zA-Z!/?]))"                      # 1 text, or a "<" that opens nothing
+        r"|<([a-zA-Z][^\t\n\r\f />]*)>"                  # 2 plain start tag
+        r"|</([a-zA-Z][^\t\n\r\f />]*)>"                 # 3 plain end tag
+        rf"|<(/?)([a-zA-Z][^\t\n\r\f />]*)((?:{attr})*)"  # 4 "/", 5 name, 6 attributes
+        r"([\t\n\r\f /]*)(?:(>)|([\s\S]*))"             # 7 tail, 8 ">", 9 unterminated
+        rf"|<!--(?:[\s\S]*?--!?>{more_comments})"          # comment
+        r"|<!\[CDATA\[[\s\S]*?\]\]>"
+        r"|<(?:!(?!--|\[CDATA\[)|\?|/)[^>]*>"            # doctype, bogus comment
+        r"|(<[\s\S]*)")                                  # 10 unterminated, or <!-->
+
+
+# The tokens of a document.  An unterminated construct takes the rest of
+# the input, so none costs more than a pass; only a quote that never
+# closes makes the regex backtrack, to the reading html.parser gives it.
+# "<!-->" and "<!--->" are comments only when no "-->" or "--!>" follows.
+_TOKEN = _token_regex("", "|-?>")
+# The tokens of a stretch, past whose end a quote or a comment may close:
+# an unclosed quote leaves its tag unterminated, and <!--> is left open.
+_STRETCH_TOKEN = _token_regex(r"""|['"][\s\S]*""", "")
+_ATTR_CHARREF = re.compile(r"&(?:#[0-9]+|#[xX][0-9a-fA-F]+|[a-zA-Z][a-zA-Z0-9]*)[;=]?")
+
+
+def _attr_charref(match: re.Match) -> str:
+    ref = match[0]  # HTML5: a named reference resolves as a whole name with no "=" after
+    return unescape(ref) if ref[1] == "#" or (ref[-1] != "=" and ref[1:] in html5) else ref
 
 
 def _attr_list(source: str) -> list[tuple[str, str | None]]:
-    """html.parser's attribute list for the attribute text of a start tag."""
+    """The (name, value) list of the attribute text of a tag; a value is
+    None when no "=" follows the name."""
     attrs = []
-    for name, eq, dquoted, squoted, bare in _ATTR_PARTS.findall(source):
-        attrs.append((name.lower(), _unescape_attr(dquoted or squoted or bare) if eq else None))
+    for name, eq, squoted, dquoted, bare in _ATTR_PARTS.findall(source):
+        value = squoted or dquoted or bare
+        if "&" in value:
+            value = _ATTR_CHARREF.sub(_attr_charref, value)
+        attrs.append((name.lower(), value if eq else None))
     return attrs
 
 
-def _scan(text: str) -> DomNode | None:
-    """The tree of text built from one regex pass, or None when text holds
-    a construct the pass does not model (see the module docstring)."""
-    if _RAW_TEXT_START.search(text):
-        return None
-    builder = _TreeBuilder()
-    on_start = builder.handle_starttag
-    on_end = builder.handle_endtag
-    on_data = builder.handle_data
-    for (data, plain_tag, plain_attrs, content, tag, attrs, slash, end_tag,
-         unmodelled) in _TOKEN.findall(text):
+def _read(builder: _TreeBuilder, text: str, pos: int, stop: int,
+          tokens: re.Pattern = _STRETCH_TOKEN) -> int:
+    """Feed builder the tokens of text[pos:stop].  Return -1, or where a
+    construct starts that may run past stop."""
+    on_start, on_end, on_data = builder.handle_starttag, builder.handle_endtag, builder.handle_data
+    for (data, start_tag, end_tag, close, name, attrs, tail, gt, rest,
+         markup) in tokens.findall(text, pos, stop):
         if data:
             on_data(unescape(data))
-        elif tag:
-            tag = tag.lower()
-            if tag in _RAW_CONTENT:
-                return None  # RCDATA content other than plain text
-            attrs = _attr_list(attrs) if attrs else []
-            if slash:
-                builder.handle_startendtag(tag, attrs)
-            else:
-                on_start(tag, attrs)
         elif end_tag:
             on_end(end_tag.lower())
-        elif plain_tag:
-            tag = plain_tag.lower()
-            on_start(tag, _attr_list(plain_attrs) if plain_attrs else [])
-            on_data(content)
-            on_end(tag)
-        elif unmodelled:
-            return None
-        # all groups empty: a comment or doctype, which the tree drops
-    return builder.root
+        elif start_tag:
+            on_start(start_tag.lower(), [])
+        elif gt:
+            if close:
+                on_end(name.lower())
+            elif tail and tail[-1] == "/":
+                builder.handle_startendtag(name.lower(), _attr_list(attrs) if attrs else [])
+            else:
+                on_start(name.lower(), _attr_list(attrs) if attrs else [])
+        elif name:
+            return stop - len(rest) - len(tail) - len(attrs) - len(name) - len(close) - 1
+        elif markup:
+            return stop - len(markup)
+    return -1
 
 
-def _parse_with_htmlparser(text: str) -> DomNode:
+def _scan(text: str) -> DomNode:
+    """The tree of text.  _read reads up to the next text element, whose start tag
+    and content are read here, as is a construct that may run past that tag."""
     builder = _TreeBuilder()
-    builder.feed(text)
-    builder.close()
+    n = len(text)
+    pos, stop, found = 0, -1, None
+    while pos < n:
+        if stop < pos:
+            found = _TEXT_ELEMENT_START.search(text, pos)
+            stop = found.start() if found else n
+        at = _read(builder, text, pos, stop)
+        if at < 0:
+            if found is None:
+                break
+            at = stop
+        token = _TOKEN.match(text, at)
+        if token[9] is not None or token[10] is not None:  # dropped with the rest
+            if at == n - 2 and text.endswith("</"):
+                builder.handle_data("</")
+            break
+        pos = token.end()
+        _read(builder, text, at, pos, _TOKEN)
+        if at == stop and not (token[7] or "").endswith("/"):  # <script/> has no content
+            tag = found[1].lower()
+            close = _END_TAG[tag].search(text, pos) if tag in _END_TAG else None
+            end = close.start() if close else n
+            if pos < end:
+                builder.handle_data(unescape(text[pos:end]) if tag in _RCDATA_TAGS else text[pos:end])
+            pos = end
     return builder.root
 
 
@@ -359,8 +354,7 @@ def parse_html(data: bytes | bytearray | str) -> DomNode:
         text = data
     else:
         raise MalformedInput(f"expected bytes or str, got {type(data).__name__}")
-    root = _scan(text)
-    return root if root is not None else _parse_with_htmlparser(text)
+    return _scan(text)
 
 
 # ── traversal helpers ───────────────────────────────────────────────

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from html import escape
 
-from .dom import RAW_TEXT_TAGS, VOID_TAGS, DomNode
+from .dom import _VERBATIM_TAGS, VOID_TAGS, DomNode
 from .pipeline import PageReport
 from .segmenter import Segment
 
@@ -70,11 +70,11 @@ def serialize_html(root: DomNode, wrap_map: dict[int, int] | None = None) -> str
                 out.append("</seg-mark>")
             continue
         out.append(f"<{node.tag}{attrs}>")
-        if node.tag in RAW_TEXT_TAGS:
-            # script/style content is emitted verbatim, never escaped
-            for child in node.children:
-                if child.is_text:
-                    out.append(child.text)
+        if node.tag in _VERBATIM_TAGS:
+            # a re-parse reads this content as written, so it is never escaped
+            out.extend(child.text for child in node.children if child.is_text)
+            if node.tag == "plaintext":
+                break  # the rest of the document would be its text
             out.append(f"</{node.tag}>")
             if seg is not None:
                 out.append("</seg-mark>")

@@ -4,25 +4,16 @@ from __future__ import annotations
 
 import random
 import re
-from html.parser import HTMLParser
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from segscore import MalformedInput, body_of, page_title_tokens, parse_html, visible_text
-from segscore.dom import (
-    _RAW_CONTENT,
-    _RAW_TEXT,
-    _RAW_TEXT_START,
-    _TOKEN,
-    _attr_list,
-    _parse_with_htmlparser,
-    _scan,
-    find_first,
-)
+from segscore.dom import _RCDATA_TAGS, _TOKEN, _VERBATIM_TAGS, _read, _TreeBuilder, find_first
 
 from conftest import CORPUS_DIR
+from cpython_html_parser import HTMLParser
 from genhtml import random_document
 
 
@@ -142,6 +133,23 @@ class TestInvisibleContent:
     def test_unnamed_marked_section_is_dropped_up_to_the_next_gt(self, text, texts):
         assert visible_text(body_of(parse_html(text))).split("\n") == texts
 
+    @pytest.mark.parametrize("text", [
+        "<p>a</p><![CDATA[x", "<p>a<![", "<p>a</p><!x", '<p>a</p><a href="x',
+        "<p>a<!-- open", "<p>a</p><!DOCTYPE html", '<p>a</p><div class="x>b',
+    ])
+    def test_unterminated_markup_at_the_end_is_dropped(self, text):
+        assert visible_text(body_of(parse_html(text))) == "a"
+
+    @pytest.mark.parametrize("tag", ["xmp", "iframe", "noembed", "noframes"])
+    def test_raw_text_content_is_one_text_node_kept_as_written(self, tag):
+        p = body_of(parse_html(f"<p><{tag}>a &amp; <b>x</b></{tag}>y"))
+        element, after = p.children[0].children
+        assert (element.tag, element.children[0].text, after.text) == (tag, "a &amp; <b>x</b>", "y")
+
+    def test_plaintext_makes_the_rest_of_the_input_text(self):
+        body = body_of(parse_html("<p>a<plaintext>b &amp; <i>c</plaintext>d"))
+        assert visible_text(body) == "a\nb &amp; <i>c</plaintext>d"
+
 
 class TestTextHandling:
     def test_entities_decode_and_text_coalesces(self):
@@ -186,9 +194,26 @@ class TestHelpers:
         assert visible_text(first) == "a"
 
 
-# ── the one-pass scanner against html.parser ────────────────────────
-# _scan must build exactly the tree the html.parser path builds, or give
-# the document up (None) so that parse_html falls back to html.parser.
+# ── the tokenizer against a copy of CPython 3.13.13's html.parser ────
+# parse_html must build exactly the tree that the tree builder builds from
+# that parser's events, on every interpreter.
+
+
+class _ReferenceParser(HTMLParser):
+    """The copied html.parser, feeding its events to a tree builder."""
+
+    def __init__(self):
+        super().__init__(convert_charrefs=True)
+        builder = self.builder = _TreeBuilder()
+        self.handle_starttag, self.handle_endtag = builder.handle_starttag, builder.handle_endtag
+        self.handle_startendtag, self.handle_data = builder.handle_startendtag, builder.handle_data
+
+
+def reference_tree(text: str):
+    parser = _ReferenceParser()
+    parser.feed(text)
+    parser.close()
+    return parser.builder.root
 
 
 def tree_events(root) -> list:
@@ -208,14 +233,8 @@ def tree_events(root) -> list:
     return out
 
 
-def assert_same_tree(text: str) -> bool:
-    """Both paths agree on text; True when the scanner took it."""
-    expected = tree_events(_parse_with_htmlparser(text))
-    fast = _scan(text)
-    if fast is not None:
-        assert tree_events(fast) == expected
-    assert tree_events(parse_html(text)) == expected
-    return fast is not None
+def assert_same_tree(text: str) -> None:
+    assert tree_events(parse_html(text)) == tree_events(reference_tree(text))
 
 
 _TAG_NAMES = ["div", "DiV", "p", "P", "a", "span", "b", "br", "BR", "img", "li", "ul",
@@ -230,7 +249,8 @@ _TEXTS = ["a b", " ", "\n", "a &amp; b", "&lt;", "&copy", "&#169;", "x&y", "&", 
 _INSERTS = ["<", "&", "&amp;", "&lt", "&#39;", "&#", '"', "'", "/>", "</", "</p>", "</ div>",
             "</DIV >", "<!--", "-->", "<!-->", "<!", "<?", "=", " ", ">", "<P>", "<br/>",
             "<a href=x/>", "\xa0", "\x0b", "\x00", "<!doctype html>", "<script>", "--",
-            "<b", "<1", "< b>", "<a\xa0b>", "<a b==c>"]
+            "<b", "<1", "< b>", "<a\xa0b>", "<a b==c>", "<xmp>", "<iframe>", "<plaintext>",
+            "<![CDATA[", "&copy="]
 
 
 @st.composite
@@ -276,53 +296,62 @@ _SCRIPT_OR_STYLE = re.compile(r"<(script|style)\b.*?</\1\s*>", re.IGNORECASE | r
 
 
 def without_raw_text(text: str) -> str:
-    """text with its script and style elements cut out, so that the scan
-    runs on the rest of the page on every release."""
+    """text with its script and style elements cut out."""
     return _SCRIPT_OR_STYLE.sub("", text)
 
 
 def _corpus_texts() -> list[str]:
     texts = [path.read_text("utf-8") for path in sorted(CORPUS_DIR.glob("*.html"))]
-    return texts + [without_raw_text(text) for text in texts if _RAW_TEXT_START.search(text)]
+    return texts + [without_raw_text(text) for text in texts if _SCRIPT_OR_STYLE.search(text)]
 
 
-class _StartTagRecorder(HTMLParser):
+class _EventRecorder:
+    def __init__(self):
+        self.events = []
+
     def handle_starttag(self, tag, attrs):
-        self.event = ("start", tag, attrs)
+        self.events.append(("start", tag, attrs))
 
     def handle_startendtag(self, tag, attrs):
-        self.event = ("startend", tag, attrs)
+        self.events.append(("startend", tag, attrs))
+
+    def handle_endtag(self, tag):
+        self.events.append(("end", tag))
+
+    def handle_data(self, data):
+        self.events.append(("data", data))
+
+
+class _ReferenceRecorder(_EventRecorder, HTMLParser):
+    def __init__(self):
+        _EventRecorder.__init__(self)
+        HTMLParser.__init__(self, convert_charrefs=True)
 
 
 class TestScannerMatchesHtmlParser:
     @given(start_tags())
     def test_start_tags_carry_html_parsers_arguments(self, source):
         # valueless attributes pass None, empty ones "", and names are lowercased
-        recorder = _StartTagRecorder()
-        recorder.feed(source)
-        recorder.close()
-        (_, _, _, _, tag, attrs, slash, _, _), = _TOKEN.findall(source)
-        kind = "startend" if slash else "start"
-        assert (kind, tag.lower(), _attr_list(attrs)) == recorder.event
+        reference = _ReferenceRecorder()
+        reference.feed(source)
+        reference.close()
+        ours = _EventRecorder()
+        assert _read(ours, source, 0, len(source), _TOKEN) == -1
+        assert ours.events == reference.events
 
     def test_corpus_pages(self, corpus_paths):
-        texts = [path.read_text("utf-8") for path in corpus_paths]
-        taken = [assert_same_tree(text) for text in texts]
-        # every release scans all pages but the one with a <script> and,
-        # where title is RCDATA, the one whose title holds an entity
-        assert sum(taken) >= len(texts) - 2
-        stripped = [assert_same_tree(without_raw_text(text)) for text in texts]
-        assert sum(stripped) >= len(texts) - 1
+        for path in corpus_paths:
+            text = path.read_text("utf-8")
+            assert_same_tree(text)
+            assert_same_tree(without_raw_text(text))
 
     @given(st.integers(min_value=0, max_value=10_000))
     def test_generated_documents(self, seed):
         assert_same_tree(random_document(random.Random(seed)))
 
     @given(st.integers(min_value=0, max_value=10_000))
-    def test_generated_documents_without_scripts_take_the_fast_path(self, seed):
-        # about a third of generated documents hold a <script>; without it
-        # every one is scanned, plain <title> included, on every release
-        assert assert_same_tree(without_raw_text(random_document(random.Random(seed))))
+    def test_generated_documents_without_scripts(self, seed):
+        assert_same_tree(without_raw_text(random_document(random.Random(seed))))
 
     @given(tag_soup())
     def test_tag_soup(self, text):
@@ -341,21 +370,19 @@ class TestScannerMatchesHtmlParser:
     def test_mutated_corpus_pages(self, data, page_text):
         assert_same_tree(data.draw(mutated(page_text)))
 
-    def test_modelled_constructs_take_the_fast_path(self):
-        for text in [
-            "", "plain text", "<P CLASS=x ID='y' hidden>a &amp; b</P >",
-            '<div id="a" id="b" data-x="&lt;&copy" e="">x</div>',
-            "<br/><br /><img src=a.png/><a href=/x?q=1&r=2>l</a>",
-            "<!DOCTYPE html><!-- note --><!----><p>t</p>",
-            "<ul><li>x<li>y</ul><table><tr><td>a<td>b</table>",
-            "<a\nhref = 'x'\tclass=\"y\">z</a\n>",
-            "<title>t</title><p>x</p>", "<TITLE lang=en>t u</Title >", "<title></title>",
-            "<p><textarea rows=2>a > b</textarea></p>", "<title>t</title><title>u</title>",
-            # releases differ on references in values; the scan follows the running one
-            '<img src="/&ltimg" alt="a&amp=b" title=&notit; data-x="&#65x&lt;">',
-        ]:
-            assert _scan(text) is not None, text
-            assert_same_tree(text)
+    @pytest.mark.parametrize("text", [
+        "", "plain text", "<P CLASS=x ID='y' hidden>a &amp; b</P >",
+        '<div id="a" id="b" data-x="&lt;&copy" e="">x</div>',
+        "<br/><br /><img src=a.png/><a href=/x?q=1&r=2>l</a>",
+        "<!DOCTYPE html><!-- note --><!----><p>t</p>",
+        "<ul><li>x<li>y</ul><table><tr><td>a<td>b</table>",
+        "<a\nhref = 'x'\tclass=\"y\">z</a\n>",
+        "<title>t</title><p>x</p>", "<TITLE lang=en>t u</Title >", "<title></title>",
+        "<p><textarea rows=2>a > b</textarea></p>", "<title>t</title><title>u</title>",
+        '<img src="/&ltimg" alt="a&amp=b" title=&notit; data-x="&#65x&lt;">',
+    ])
+    def test_plain_constructs(self, text):
+        assert_same_tree(text)
 
     @pytest.mark.parametrize("construct", [
         "<?pi data?>", "<![CDATA[x]]>", "<!ELEMENT x>", "<!-->", "<!--->", "<!-->x-->",
@@ -364,16 +391,19 @@ class TestScannerMatchesHtmlParser:
         "</1>", "<div", '<div class="x>', "<div class=x", "<div/ class=x>", "<a b==c>",
         "<a =b>", "<a b='x'c>", "<a\xa0b>", "<a b\xa0c>", "<a b=c\xa0d>", "<a\x0bb>",
         "<a\x00b>", "<a<b>", "<p/x>",
+        # constructs that run past the start tag of a text element
+        '<a title="<script>">x</a>', "<a title='<title>'>x</a><title>t</title>",
+        '<a href= "<xmp>">x</a>', "<!-- <script> -->x", "<!--><script>x</script>-->y",
+        "<![CDATA[<style>]]>z", "<?x <textarea>?>w", "</<script>>v", "<a b='<title>x",
     ])
-    def test_unmodelled_constructs_take_the_fallback(self, construct):
-        text = f"<p>before</p>{construct}"
-        assert _scan(text) is None
-        assert_same_tree(text)
+    def test_malformed_constructs(self, construct):
+        assert_same_tree(f"<p>before</p>{construct}")
 
-    @pytest.mark.parametrize("tag", sorted(_RAW_TEXT))
-    def test_raw_text_elements_take_the_fallback(self, tag):
-        for text in [f"<{tag}>x</{tag}>", f"<{tag.upper()} a=b>x", f"<p>a</p><{tag}/>"]:
-            assert _scan(text) is None
+    @pytest.mark.parametrize("tag", sorted(_VERBATIM_TAGS | _RCDATA_TAGS))
+    def test_text_elements(self, tag):
+        for text in [f"<{tag}>x</{tag}>", f"<{tag.upper()} a=b>x", f"<p>a</p><{tag}/>",
+                     f"<{tag}>a &amp; <b>c</b></{tag}x></{tag.upper()}\n>d",
+                     f"<{tag}>a</{tag} x='>'>b", f"<{tag}>a</{tag}"]:
             assert_same_tree(text)
 
     @pytest.mark.parametrize("text", [
@@ -382,22 +412,19 @@ class TestScannerMatchesHtmlParser:
         "<title>x</textarea>", "<textarea>a&lt;b</textarea>", "<title>a</titles>b</title>",
         "<title>a &copy</title>",
     ])
-    def test_other_title_and_textarea_forms_take_the_fallback_where_rcdata(self, text):
-        # scanned where the release reads title and textarea as markup
-        assert (_scan(text) is None) == ("title" in _RAW_CONTENT)
+    def test_other_title_and_textarea_forms(self, text):
         assert_same_tree(text)
 
-    def test_raw_text_elements_are_read_from_html_parser(self):
-        assert _RAW_TEXT == set(HTMLParser.CDATA_CONTENT_ELEMENTS) | {"plaintext"}
-        assert _RAW_CONTENT == _RAW_TEXT | set(getattr(HTMLParser, "RCDATA_CONTENT_ELEMENTS", ()))
+    def test_text_elements_are_the_references(self):
+        assert _VERBATIM_TAGS == set(HTMLParser.CDATA_CONTENT_ELEMENTS) | {"plaintext"}
+        assert _RCDATA_TAGS == set(HTMLParser.RCDATA_CONTENT_ELEMENTS)
 
-    def test_an_abandoned_scan_leaves_no_node_behind(self):
+    def test_markup_after_a_processing_instruction(self):
         text = "<div>fast</div><?pi?><p>slow</p>"
-        assert _scan(text) is None
+        assert_same_tree(text)
         body = body_of(parse_html(text))
         assert tags_of(body) == ["div", "p"]
         assert visible_text(body) == "fast\nslow"
 
     def test_deep_nesting_scans_iteratively(self):
-        text = "<div>" * 5000 + "x" + "</div>" * 5000
-        assert assert_same_tree(text)
+        assert_same_tree("<div>" * 5000 + "x" + "</div>" * 5000)

@@ -10,6 +10,9 @@ since its imports are the public surface.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -52,6 +55,36 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text("utf-8")) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """The absolute module names that ``source`` imports, with their parents."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                 else [node.module] if isinstance(node, ast.ImportFrom) and not node.level
+                 else [])
+        for name in names:
+            parts = name.split(".")
+            found.update(".".join(parts[:i]) for i in range(1, len(parts) + 1))
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES + [PACKAGE / "__init__.py"],
+                         ids=[path.name for path in MODULES] + ["__init__.py"])
+def test_no_module_uses_the_standard_html_parser(path):
+    # dom.py's own tokenizer reads every page, so the parse cannot follow
+    # the html.parser of the running interpreter
+    assert imported_modules(path.read_text("utf-8")) & {"html.parser", "_markupbase"} == set()
+
+
+def test_importing_the_cli_leaves_the_network_and_html_parser_modules_out():
+    probe = ("import sys, segscore.cli; print(sorted({'urllib.request', 'http.client', "
+             "'html.parser'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def _private(name: str) -> bool:
@@ -128,6 +161,13 @@ class TestUnusedImports:
 
     def test_future_imports_are_exempt(self):
         assert unused_imports("from __future__ import annotations\n") == []
+
+
+class TestImportedModules:
+    def test_names_every_form_of_import_with_its_parents(self):
+        source = ("import html.parser\nfrom _markupbase import ParserBase\n"
+                  "from .dom import parse_html\nimport json as j\n")
+        assert imported_modules(source) == {"html", "html.parser", "_markupbase", "json"}
 
 
 class TestUnreferencedPrivates:

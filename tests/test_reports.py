@@ -41,10 +41,14 @@ class TestResolvePath:
 
 
 class TestSerializeHtml:
-    def test_visible_text_round_trips(self):
-        html = ('<html><head><title>T</title></head><body>'
-                '<p>first &amp; second</p><div>a <em>b</em> c</div>'
-                '</body></html>')
+    @pytest.mark.parametrize("html", [
+        '<html><head><title>T</title></head><body>'
+        '<p>first &amp; second</p><div>a <em>b</em> c</div>'
+        '</body></html>',
+        # raw text is serialized as written, and nothing follows <plaintext>
+        "<xmp>a &amp; <b>x</b></xmp>", "<p>a</p><plaintext>b &amp; <i>c",
+    ], ids=["page", "xmp", "plaintext"])
+    def test_visible_text_round_trips(self, html):
         dom = parse_html(html)
         again = parse_html(serialize_html(dom))
         assert visible_text(body_of(again)) == visible_text(body_of(dom))

@@ -146,6 +146,15 @@ class TestFeatures:
         assert seg.images == [(["delta", "e"], ["f", "g"], ["p", "q", "png"])]
         assert seg.visual_spans == [("strong", ["hi", "there"])]
 
+    def test_character_references_in_link_and_image_attributes(self):
+        # HTML5's attribute rule, on every interpreter: "&copy=" and "&amp="
+        # stay as written, since a "=" follows the entity name
+        html = page('<div>alpha <a href="/q?a=1&copy=2">beta</a>'
+                    ' <img src="/p.png" alt="a&amp=b"> rest words here now</div>')
+        seg, = segment_page(parse_html(html))
+        assert seg.links == [(["beta"], ["q", "a", "1", "copy", "2"])]
+        assert [alt for alt, _, _ in seg.images] == [["a", "amp", "b"]]
+
     def test_heading_block_is_its_own_visual_span(self):
         html = page(f"<h2>{TWELVE}</h2>")
         seg, = segment_page(parse_html(html))
